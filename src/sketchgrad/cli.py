@@ -223,17 +223,17 @@ def _run_sweeps(resolved: dict, config: RunConfig, output_dir: str, jobs: int) -
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         resolved = resolve_config(load_config_file(args.config))
+        if args.seed is not None:
+            resolved["seed"] = args.seed
+        if args.no_invariants:
+            resolved["check_invariants"] = False
+        resolved["trace_path"] = os.path.join(args.output, "trace.csv")
+        config = build_run_config(resolved)
     except ConfigError as exc:
         _error("config", str(exc))
         return EXIT_CONFIG
     os.makedirs(args.output, exist_ok=True)
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.no_invariants:
-        resolved["check_invariants"] = False
-    resolved["trace_path"] = os.path.join(args.output, "trace.csv")
     _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
-    config = build_run_config(resolved)
     try:
         _, records = run(config)
         if "sweep" in resolved:
@@ -262,6 +262,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         resolved = resolve_config(load_config_file(args.config))
+        if args.seed is not None:
+            resolved["seed"] = args.seed
+        resolved.pop("sweep", None)
+        resolved["trace_path"] = None
+        base = build_run_config(resolved)
     except ConfigError as exc:
         _error("config", str(exc))
         return EXIT_CONFIG
@@ -271,12 +276,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _error("config", f"variants must be from {VARIANTS}, got {unknown or 'none'}")
         return EXIT_CONFIG
     os.makedirs(args.output, exist_ok=True)
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    resolved.pop("sweep", None)
-    resolved["trace_path"] = None
     _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
-    base = build_run_config(resolved)
 
     def one(variant: str) -> list[TraceRecord]:
         cfg = dataclasses.replace(base, variant=variant)

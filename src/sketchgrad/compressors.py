@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import CountSketch, SketchConfig, _hash_tables, sketch_vector
+from .sketch import CountSketch, SketchConfig, _cells, sketch_rows, top_m
+from .sketch import sketch_vector  # noqa: F401  (perfbench traces it under this module)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def top_k(vector: np.ndarray, k: int) -> SparseUpdate:
     d = vector.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    order = np.lexsort((np.arange(d), -np.abs(vector)))
-    idx = np.sort(order[:k])
+    idx = np.sort(top_m(np.abs(vector), k))
     return SparseUpdate(dim=d, indices=idx, values=vector[idx])
 
 
@@ -137,15 +137,17 @@ def sequential_mean(rows: list[np.ndarray]) -> np.ndarray:
 
 
 def _merged_sketch(worker_vectors: list[np.ndarray], cfg: ProtocolConfig) -> CountSketch:
+    """Mean of the worker sketches, summed in worker order."""
     dim = cfg.sketch.dim
     for w in worker_vectors:
         if w.shape != (dim,):
             raise ValueError(f"worker vector shape {w.shape} does not match dim {dim}")
-    merged = CountSketch(cfg.sketch)
-    for w in worker_vectors:
-        merged.table += sketch_vector(cfg.sketch, w).table
-    merged.table /= len(worker_vectors)
-    return merged
+    tables = sketch_rows(cfg.sketch, np.array(worker_vectors))
+    acc = np.zeros(cfg.sketch.size)
+    for w in range(len(worker_vectors)):
+        acc += tables[:, w]
+    acc /= len(worker_vectors)
+    return CountSketch(cfg.sketch, acc.reshape(cfg.sketch.rows, cfg.sketch.cols))
 
 
 def _round_two(
@@ -223,16 +225,14 @@ def sketched_topk_aggregate_scaled(
     scale_vec = np.sqrt(v_hat)
     merged = _merged_sketch(worker_vectors, cfg)
     if bucket_rescale:
-        buckets, _ = _hash_tables(cfg.sketch)
-        divisor = np.ones_like(merged.table)
-        for j in range(cfg.sketch.rows):
-            np.multiply.at(divisor[j], buckets[j], scale_vec)
-        rescaled = CountSketch(cfg.sketch, merged.table / divisor)
+        cells, _ = _cells(cfg.sketch)
+        divisor = np.ones(cfg.sketch.size)
+        np.multiply.at(divisor, cells.ravel(), np.repeat(scale_vec, cfg.sketch.rows))
+        rescaled = CountSketch(cfg.sketch, merged.table / divisor.reshape(merged.table.shape))
         candidates = rescaled.heavy_candidates(cfg.n_candidates)
     else:
         est = merged.estimate_all() / scale_vec
-        order = np.lexsort((np.arange(cfg.sketch.dim), -np.abs(est)))
-        candidates = order[: cfg.n_candidates].copy()
+        candidates = top_m(np.abs(est), cfg.n_candidates)
     return _round_two(worker_vectors, cfg, candidates, scale_vec[candidates])
 
 

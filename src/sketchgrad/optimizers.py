@@ -37,6 +37,7 @@ from .compressors import (
     sketched_topk_aggregate,
     sketched_topk_aggregate_scaled,
 )
+from .sketch import top_m
 
 
 class NumericError(RuntimeError):
@@ -69,21 +70,14 @@ def step_size(params: HyperParams, variant: str) -> float:
     """Constant step size: alpha/sqrt(1+T) for PA, alpha/sqrt(1+T/n) for GA.
 
     Both schedules depend on the horizon T, not on the iteration, so
-    the error-rescaling factor alpha_{t-1}/alpha_t is 1 throughout.
+    the error-rescaling factor alpha_{t-1}/alpha_t is 1 throughout and
+    the carried error enters each payload unscaled.
     """
     if variant == "pa":
         return params.alpha / math.sqrt(1.0 + params.horizon)
     if variant == "ga":
         return params.alpha / math.sqrt(1.0 + params.horizon / params.n_workers)
     raise ValueError(f"variant must be 'pa' or 'ga', got {variant!r}")
-
-
-def _step_ratio(params: HyperParams, variant: str, t: int) -> float:
-    """alpha_{t-1}/alpha_t, with alpha_0 defined as alpha_1. Kept generic
-    so a decaying schedule only needs to change step_size."""
-    if t <= 1:
-        return 1.0
-    return step_size(params, variant) / step_size(params, variant)
 
 
 @dataclass
@@ -191,8 +185,7 @@ def _selection_diagnostics(
     else:
         diff = approx_dense - target
         ratio = float(np.dot(diff, diff)) / denom
-    order = np.lexsort((np.arange(target.shape[0]), -np.abs(target)))
-    true_top = order[:k]
+    true_top = top_m(np.abs(target), k)
     overlap = len(np.intersect1d(chosen, true_top, assume_unique=True)) / k
     return ratio, overlap
 
@@ -210,13 +203,12 @@ def pa_step(
     dim = x.shape[0]
     grads = _check_grads(grads, dim, t)
     alpha_t = step_size(params, "pa")
-    ratio = _step_ratio(params, "pa", t)
     payloads = []
     for st, g in zip(states, grads):
         st.m = params.beta1 * st.m + (1.0 - params.beta1) * g
         st.v = params.beta2 * st.v + (1.0 - params.beta2) * g * g
         st.v_hat = np.maximum(st.v_hat, st.v)
-        payloads.append(st.m / np.sqrt(st.v_hat) + ratio * st.e)
+        payloads.append(st.m / np.sqrt(st.v_hat) + st.e)
 
     agg = sketched_topk_aggregate(payloads, cfg)
     chosen = agg.chosen_indices
@@ -265,20 +257,17 @@ def ga_step(
     dim = server.x.shape[0]
     grads = _check_grads(grads, dim, t)
     alpha_t = step_size(params, "ga")
-    ratio = _step_ratio(params, "ga", t)
 
-    h_list = []
     for st, g in zip(states, grads):
         st.m = params.beta1 * st.m + (1.0 - params.beta1) * g
-        h = np.zeros(dim)
-        h[server.last_indices] = g[server.last_indices]
-        h_list.append(h)
-
-    h_mean = sequential_mean(h_list)
+    # the h payload: exact gradients on the previously chosen coordinates
+    last = server.last_indices
+    h_mean = np.zeros(dim)
+    h_mean[last] = sequential_mean([g[last] for g in grads])
     server.v = params.beta2 * server.v + (1.0 - params.beta2) * h_mean * h_mean
     server.v_hat = np.maximum(server.v_hat, server.v)
 
-    payloads = [st.m + ratio * st.e for st in states]
+    payloads = [st.m + st.e for st in states]
     agg = sketched_topk_aggregate_scaled(payloads, server.v_hat, cfg, bucket_rescale=bucket_rescale)
     chosen = agg.chosen_indices
     inv_scale = 1.0 / np.sqrt(server.v_hat)

@@ -153,22 +153,6 @@ def make_logreg(
     return problem, (features, labels)
 
 
-def finite_difference_gradient(
-    loss: Callable[[np.ndarray, np.ndarray | None], float],
-    x: np.ndarray,
-    batch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Central differences with per-coordinate step 1e-6 * (1 + |x_i|)."""
-    out = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        h = 1e-6 * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (loss(xp, batch) - loss(xm, batch)) / (2.0 * h)
-    return out
-
-
 @dataclass(frozen=True)
 class Partition:
     """Assignment of every sample to exactly one worker shard."""
@@ -404,19 +388,13 @@ class _Cluster:
             self.x, diag = dense_sgd_step(self.x, grads, self.hyper, t)
         return diag
 
-    def v_hat_snapshot(self) -> list[np.ndarray] | None:
-        if self.variant == "pa":
-            return [w.v_hat.copy() for w in self.workers]
-        if self.variant in ("ga", "dense_amsgrad"):
-            return [self.server.v_hat.copy()]
-        return None
-
-    def v_hat_current(self) -> list[np.ndarray] | None:
+    def v_hats(self) -> list[np.ndarray]:
+        """The live v_hat arrays, which must never decrease."""
         if self.variant == "pa":
             return [w.v_hat for w in self.workers]
         if self.variant in ("ga", "dense_amsgrad"):
             return [self.server.v_hat]
-        return None
+        return []
 
 
 def _check_step_invariants(cluster: _Cluster, diag: StepDiagnostics, prev_v_hat, t: int) -> None:
@@ -425,9 +403,8 @@ def _check_step_invariants(cluster: _Cluster, diag: StepDiagnostics, prev_v_hat,
             f"shadow identity violated at iteration {t}: gap {diag.shadow_gap:.3e} "
             f"> {SHADOW_GAP_TOL:.0e}"
         )
-    current = cluster.v_hat_current()
-    if prev_v_hat is not None and current is not None:
-        for old, new in zip(prev_v_hat, current):
+    if prev_v_hat is not None:
+        for old, new in zip(prev_v_hat, cluster.v_hats()):
             if np.any(new < old):
                 raise InvariantViolation(f"v_hat decreased at iteration {t}")
     if cluster.variant == "ga":
@@ -451,7 +428,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     for t in range(1, config.horizon + 1):
         grads = _worker_gradients(problem, cluster.x, shards, config, t)
         grad_inf_max = max(grad_inf_max, max(float(np.max(np.abs(g))) for g in grads))
-        prev_v_hat = cluster.v_hat_snapshot() if config.check_invariants else None
+        prev_v_hat = [v.copy() for v in cluster.v_hats()] if config.check_invariants else None
         diag = cluster.step(grads, t)
         if config.check_invariants:
             _check_step_invariants(cluster, diag, prev_v_hat, t)

@@ -4,10 +4,13 @@ An r x c table of float64 counters with per-row sign and bucket hashes.
 Inserting (index, value) adds sign_j(index) * value to cell
 (j, bucket_j(index)) in every row j. The table is linear in the input
 vector, so sketches from different workers can be summed cell-wise and
-the result is the sketch of the summed vector. A point query returns
-the median over rows of sign_j(i) * table[j, bucket_j(i)], which for
-random inputs is within O(norm(x) / sqrt(c)) of the true coordinate
-with failure probability decaying in r.
+the result is the sketch of the summed vector. It is stored as one
+sparse (r*c, dim) operator S with r signed ones per column (Charikar,
+Chen & Farach-Colton 2002), so sketching n vectors is one sparse
+product. A point query returns the median over rows of
+sign_j(i) * table[j, bucket_j(i)], which for random inputs is within
+O(norm(x) / sqrt(c)) of the true coordinate with failure probability
+decaying in r.
 
 Hashes are derived from (seed, row, index) with a splitmix64-style
 avalanche mixer: every worker that shares the config computes the same
@@ -22,6 +25,7 @@ from functools import lru_cache
 import struct
 
 import numpy as np
+from scipy import sparse
 
 _MASK64 = (1 << 64) - 1
 _ROW_SALT = 0x9E3779B97F4A7C15  # golden-ratio increment, salts the row key
@@ -102,22 +106,45 @@ def sign_hash(config: SketchConfig, row: int, index: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _hash_tables(config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputed (rows x dim) bucket and sign arrays for a config.
-
-    Cached per config so the workers of one simulated cluster share a
-    single table. Read-only after construction.
-    """
-    all_idx = np.arange(config.dim, dtype=np.uint64)
-    buckets = np.empty((config.rows, config.dim), dtype=np.int64)
-    signs = np.empty((config.rows, config.dim), dtype=np.float64)
-    for j in range(config.rows):
+def _operator(config: SketchConfig) -> sparse.csc_array:
+    """The sketch as a sparse (rows*cols, dim) CSC matrix S: column i holds
+    sign_j(i) at cell j*cols + bucket_j(i), so its cells ascend and need no
+    sort. S @ x adds each cell's terms in ascending coordinate order from
+    0.0, as a loop of accumulate() does. Cached per config so the workers
+    of one simulated cluster share it."""
+    rows, cols, dim = config.rows, config.cols, config.dim
+    idx_dtype = np.int32 if max(rows * dim, config.size) < 2**31 else np.int64
+    all_idx = np.arange(dim, dtype=np.uint64)
+    cells = np.empty((dim, rows), dtype=idx_dtype)
+    signs = np.empty((dim, rows), dtype=np.float64)
+    for j in range(rows):
         h = _cell_hash(config, j, all_idx)
-        buckets[j] = ((h >> np.uint64(32)) % np.uint64(config.cols)).astype(np.int64)
-        signs[j] = np.where((h & np.uint64(1)) == 0, 1.0, -1.0)
-    buckets.setflags(write=False)
-    signs.setflags(write=False)
-    return buckets, signs
+        cells[:, j] = (h >> np.uint64(32)) % np.uint64(cols) + np.uint64(j * cols)
+        signs[:, j] = np.where((h & np.uint64(1)) == 0, 1.0, -1.0)
+    indptr = np.arange(0, rows * dim + 1, rows, dtype=idx_dtype)
+    op = sparse.csc_array((signs.ravel(), cells.ravel(), indptr), shape=(config.size, dim))
+    for arr in (op.data, op.indices, op.indptr):
+        arr.setflags(write=False)
+    return op
+
+
+def _cells(config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(dim, rows) views of S's flat cell indices and signs."""
+    op = _operator(config)
+    shape = (config.dim, config.rows)
+    return op.indices.reshape(shape), op.data.reshape(shape)
+
+
+def top_m(scores: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m largest scores, largest first, ties broken by lower
+    index; O(d) plus a sort of the entries tied with or above the m-th."""
+    d = scores.shape[0]
+    if not 1 <= m <= d:
+        raise ValueError(f"m must be in [1, {d}], got {m}")
+    threshold = np.partition(scores, d - m)[d - m]
+    survivors = np.flatnonzero(scores >= threshold)
+    order = np.argsort(-scores[survivors], kind="stable")
+    return survivors[order[:m]]
 
 
 class CountSketch:
@@ -151,24 +178,27 @@ class CountSketch:
             raise ValueError(f"value must be finite, got {value}")
         if value == 0.0:
             return self
-        buckets, signs = _hash_tables(self.config)
+        cells, signs = _cells(self.config)
         rows = np.arange(self.config.rows)
-        self.table[rows, buckets[:, index]] += signs[:, index] * value
+        self.table[rows, cells[index] % self.config.cols] += signs[index] * value
         return self
 
     def estimate(self, index: int) -> float:
         """Median-of-rows point query for one coordinate."""
         _check_row_index(self.config, 0, index)
-        buckets, signs = _hash_tables(self.config)
-        rows = np.arange(self.config.rows)
-        vals = signs[:, index] * self.table[rows, buckets[:, index]]
+        cells, signs = _cells(self.config)
+        vals = signs[index] * self.table.reshape(-1)[cells[index]]
         return float(np.median(vals))
 
     def estimate_all(self) -> np.ndarray:
-        """Point-query every coordinate; O(dim * rows)."""
-        buckets, signs = _hash_tables(self.config)
-        vals = signs * np.take_along_axis(self.table, buckets, axis=1)
-        return np.median(vals, axis=0)
+        """Point-query every coordinate (the median over rows, as np.median
+        takes it); O(dim * rows)."""
+        cells, signs = _cells(self.config)
+        vals = np.sort(signs * self.table.reshape(-1)[cells], axis=1)
+        mid = self.config.rows // 2
+        if self.config.rows % 2:
+            return vals[:, mid]
+        return (vals[:, mid - 1] + vals[:, mid]) / 2
 
     def heavy_candidates(self, m: int) -> np.ndarray:
         """Indices of the m largest |estimate|, ties broken by lower index.
@@ -178,9 +208,7 @@ class CountSketch:
         """
         if not 1 <= m <= self.config.dim:
             raise ValueError(f"m must be in [1, {self.config.dim}], got {m}")
-        est = self.estimate_all()
-        order = np.lexsort((np.arange(self.config.dim), -np.abs(est)))
-        return order[:m].copy()
+        return top_m(np.abs(self.estimate_all()), m)
 
     def to_bytes(self) -> bytes:
         """Wire format: 4 little-endian u64 (rows, cols, seed, dim), then
@@ -206,24 +234,29 @@ class CountSketch:
 
 
 def sketch_vector(config: SketchConfig, vector: np.ndarray) -> CountSketch:
-    """Sketch a dense vector; equals a fresh sketch with accumulate applied
-    to every nonzero coordinate, in index order."""
+    """Sketch a dense vector as S @ vector; bit-identical to a fresh sketch
+    with accumulate applied to every nonzero coordinate, in index order
+    (a zero coordinate adds +/-0.0, which leaves every cell unchanged)."""
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (config.dim,):
         raise ValueError(f"vector length {vector.shape} does not match dim {config.dim}")
     if not np.all(np.isfinite(vector)):
         raise ValueError("vector must be finite")
-    sk = CountSketch(config)
-    (nz,) = np.nonzero(vector)
-    if nz.size == 0:
-        return sk
-    buckets, signs = _hash_tables(config)
-    vals = vector[nz]
-    for j in range(config.rows):
-        # unbuffered scatter-add in ascending index order, so the cell sums
-        # are bit-identical to a python loop of accumulate()
-        np.add.at(sk.table[j], buckets[j, nz], signs[j, nz] * vals)
-    return sk
+    return CountSketch(config, (_operator(config) @ vector).reshape(config.rows, config.cols))
+
+
+def sketch_rows(config: SketchConfig, vectors: np.ndarray) -> np.ndarray:
+    """Sketch every row of an (n, dim) matrix with one S @ vectors.T.
+
+    Returns the (rows*cols, n) matrix whose column w is the row-major
+    table of sketch_vector(config, vectors[w]), bit for bit.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != config.dim:
+        raise ValueError(f"vectors shape {vectors.shape} does not match (n, {config.dim})")
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors must be finite")
+    return _operator(config) @ vectors.T
 
 
 def merge(a: CountSketch, b: CountSketch) -> CountSketch:

@@ -151,6 +151,17 @@ def test_run_seed_override_and_determinism(tmp_path):
     assert resolved["seed"] == 99
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare", "--variants", "ga"]])
+def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json", small_quadratic())
+    out = tmp_path / "out"
+    rc = main([command[0], cfg, "-o", str(out), "--seed", "-1", *command[1:]])
+    assert rc == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_numeric_abort_exit_code(tmp_path):
     body = small_quadratic(variant="dense_sgd", alpha=1e300, horizon=30)

@@ -1,0 +1,136 @@
+"""Property tests for the sparse sketch operator and the top-m selection.
+
+Each property compares the fast path against a plain reference: a
+sorted() ranking, a loop of accumulate(), a worker-order sum of
+per-worker sketches, and np.median over the rows.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sketchgrad.compressors import ProtocolConfig, _merged_sketch, top_k
+from sketchgrad.sketch import (
+    CountSketch,
+    SketchConfig,
+    bucket_hash,
+    sign_hash,
+    sketch_rows,
+    sketch_vector,
+    top_m,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# few distinct magnitudes, both signed zeros: ties are the common case
+tie_heavy = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0]), min_size=1, max_size=40
+)
+# arbitrary finite values mixed with both signed zeros
+values = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+)
+configs = st.builds(
+    SketchConfig,
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+    dim=st.integers(1, 30),
+)
+
+
+def oracle(scores, m):
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:m]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@SETTINGS
+@given(tie_heavy, st.data())
+@example([1.0] * 12, None)
+@example([0.0, -0.0] * 6, None)
+def test_top_m_and_top_k_match_sorted_oracle(vector, data):
+    v = np.array(vector)
+    d = v.shape[0]
+    ms = {1, d} if data is None else {1, d, data.draw(st.integers(1, d))}
+    scores = np.abs(v)
+    for m in ms:
+        want = oracle(scores.tolist(), m)
+        assert top_m(scores, m).tolist() == want
+        update = top_k(v, m)
+        assert update.indices.tolist() == sorted(want)
+        assert np.array_equal(update.values, v[sorted(want)])
+
+
+@SETTINGS
+@given(configs, st.data())
+def test_heavy_candidates_match_sorted_oracle(cfg, data):
+    # small integer inputs on a small table: many estimates tie
+    v = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=cfg.dim, max_size=cfg.dim)))
+    sk = sketch_vector(cfg, v.astype(float))
+    scores = np.abs(sk.estimate_all()).tolist()
+    for m in {1, cfg.dim, data.draw(st.integers(1, cfg.dim))}:
+        assert sk.heavy_candidates(m).tolist() == oracle(scores, m)
+
+
+@SETTINGS
+@given(configs, st.data())
+def test_sketch_rows_columns_bit_equal_sketch_vector_and_accumulate(cfg, data):
+    n = data.draw(st.integers(1, 4))
+    rows = [data.draw(st.lists(values, min_size=cfg.dim, max_size=cfg.dim)) for _ in range(n)]
+    rows[0] = [0.0] * cfg.dim if data.draw(st.booleans()) else rows[0]
+    matrix = np.array(rows)
+    tables = sketch_rows(cfg, matrix)
+    assert tables.shape == (cfg.size, n)
+    for w in range(n):
+        looped = CountSketch(cfg)
+        for i, x in enumerate(rows[w]):
+            looped.accumulate(i, x)
+        column = tables[:, w].reshape(cfg.rows, cfg.cols)
+        assert np.array_equal(bits(column), bits(looped.table))
+        assert np.array_equal(bits(column), bits(sketch_vector(cfg, matrix[w]).table))
+
+
+@SETTINGS
+@given(configs, st.integers(1, 12), st.data())
+def test_merged_sketch_sums_workers_in_order(cfg, n, data):
+    # more than 8 workers: a pairwise sum over the worker axis would
+    # round differently from the worker-order loop
+    vecs = [
+        np.array(data.draw(st.lists(values, min_size=cfg.dim, max_size=cfg.dim)))
+        for _ in range(n)
+    ]
+    want = CountSketch(cfg)
+    for v in vecs:
+        want.table += sketch_vector(cfg, v).table
+    want.table /= n
+    merged = _merged_sketch(vecs, ProtocolConfig(k=1, p_factor=1, sketch=cfg))
+    assert np.array_equal(bits(merged.table), bits(want.table))
+
+
+@SETTINGS
+@given(configs, st.data())
+def test_estimate_all_matches_median_reference(cfg, data):
+    cells = data.draw(st.lists(values, min_size=cfg.size, max_size=cfg.size))
+    sk = CountSketch(cfg, np.array(cells).reshape(cfg.rows, cfg.cols))
+    ref = [
+        np.median(
+            [sign_hash(cfg, j, i) * sk.table[j, bucket_hash(cfg, j, i)] for j in range(cfg.rows)]
+        )
+        for i in range(cfg.dim)
+    ]
+    # median and sort may return different signs of zero
+    assert np.array_equal(np.abs(sk.estimate_all()), np.abs(ref))
+    assert all(abs(sk.estimate(i)) == abs(ref[i]) for i in range(cfg.dim))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros(5), np.zeros((2, 4)), np.array([[0.0, 1.0, np.nan, 0.0, 0.0]])]
+)
+def test_sketch_rows_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        sketch_rows(SketchConfig(rows=2, cols=4, seed=1, dim=5), bad)

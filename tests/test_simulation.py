@@ -10,7 +10,6 @@ from sketchgrad.simulation import (
     ProblemSpec,
     RunConfig,
     TRACE_FIELDS,
-    finite_difference_gradient,
     make_logreg,
     make_quadratic,
     partition_data,
@@ -19,6 +18,18 @@ from sketchgrad.simulation import (
     speedup_sweep,
     write_trace,
 )
+
+
+def finite_difference_gradient(loss, x, batch=None):
+    """Central differences with per-coordinate step 1e-6 * (1 + |x_i|)."""
+    out = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        h = 1e-6 * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        out[i] = (loss(xp, batch) - loss(xm, batch)) / (2.0 * h)
+    return out
 
 
 # ---------------------------------------------------------------- problems
