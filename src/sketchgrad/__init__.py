@@ -1,101 +1,28 @@
-"""Sketch-compressed distributed Adam-type optimization on a simulated cluster."""
+"""Sketch-compressed distributed Adam-type optimization on a simulated cluster.
 
-from .sketch import (
-    CountSketch,
-    IncompatibleSketchError,
-    SketchConfig,
-    bucket_hash,
-    merge,
-    scale,
-    sign_hash,
-    sketch_vector,
-)
-from .compressors import (
-    AggregationResult,
-    ProtocolConfig,
-    SparseUpdate,
-    compression_rate,
-    sign_compress,
-    sketched_topk_aggregate,
-    sketched_topk_aggregate_scaled,
-    top_k,
-)
-from .optimizers import (
-    DenseAmsgradState,
-    GAServerState,
-    GAWorkerState,
-    HyperParams,
-    NumericError,
-    PAWorkerState,
-    SgdWorkerState,
-    StepDiagnostics,
-    dense_amsgrad_step,
-    dense_sgd_step,
-    ga_step,
-    pa_step,
-    sketched_sgd_step,
-    step_size,
-)
-from .simulation import (
-    InvariantViolation,
-    Partition,
-    Problem,
-    ProblemSpec,
-    RunConfig,
-    TraceRecord,
-    build_problem,
-    make_logreg,
-    make_quadratic,
-    partition_data,
-    run,
-    speedup_sweep,
-    write_trace,
-)
+The names below are the documented API (see README, "Library"); every
+other public name is importable from its own module.
+"""
+
+from .sketch import CountSketch, SketchConfig, merge, scale, sketch_vector
+from .compressors import ProtocolConfig, sketched_topk_aggregate
+from .optimizers import HyperParams, OptimizerState, step
+from .simulation import ProblemSpec, RunConfig, run
 
 __all__ = [
-    "AggregationResult",
     "CountSketch",
-    "DenseAmsgradState",
-    "GAServerState",
-    "GAWorkerState",
     "HyperParams",
-    "IncompatibleSketchError",
-    "InvariantViolation",
-    "NumericError",
-    "PAWorkerState",
-    "Partition",
-    "Problem",
+    "OptimizerState",
     "ProblemSpec",
     "ProtocolConfig",
     "RunConfig",
-    "SgdWorkerState",
     "SketchConfig",
-    "SparseUpdate",
-    "StepDiagnostics",
-    "TraceRecord",
-    "bucket_hash",
-    "build_problem",
-    "compression_rate",
-    "dense_amsgrad_step",
-    "dense_sgd_step",
-    "ga_step",
-    "make_logreg",
-    "make_quadratic",
     "merge",
-    "pa_step",
-    "partition_data",
     "run",
     "scale",
-    "sign_compress",
-    "sign_hash",
     "sketch_vector",
-    "sketched_sgd_step",
     "sketched_topk_aggregate",
-    "sketched_topk_aggregate_scaled",
-    "speedup_sweep",
-    "step_size",
-    "top_k",
-    "write_trace",
+    "step",
 ]
 
 __version__ = "0.1.0"

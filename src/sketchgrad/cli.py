@@ -21,13 +21,12 @@ import sys
 
 import numpy as np
 
-from .optimizers import NumericError
+from .optimizers import SKETCHED, VARIANTS, NumericError
 from .simulation import (
     InvariantViolation,
     ProblemSpec,
     RunConfig,
     TraceRecord,
-    VARIANTS,
     run,
     speedup_sweep,
     write_trace,
@@ -125,15 +124,36 @@ def resolve_config(raw: dict) -> dict:
     return out
 
 
+def _check_types(values: dict, fields: dict, prefix: str = "") -> None:
+    """Reject a value whose JSON type does not fit its field; a bool is
+    not an int here, though Python counts it as one."""
+    for name, value in values.items():
+        kind = fields[name].type  # the annotation's source text
+        if kind == "int":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif kind == "float":
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        elif kind == "bool":
+            ok = isinstance(value, bool)
+        elif kind == "str":
+            ok = isinstance(value, str)
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"'{prefix}{name}' must be of type {kind}, got {value!r}")
+
+
 def build_run_config(resolved: dict) -> RunConfig:
+    fields = {k: v for k, v in resolved.items() if k in _RUN_FIELDS and k != "problem"}
+    _check_types(resolved["problem"], _PROBLEM_FIELDS, "problem.")
+    _check_types(fields, _RUN_FIELDS)
     try:
         spec = ProblemSpec(**resolved["problem"])
-        fields = {k: v for k, v in resolved.items() if k in _RUN_FIELDS and k != "problem"}
         config = RunConfig(problem=spec, **fields)
         if config.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {config.variant!r}")
         config.hyper()
-        if config.variant in ("pa", "ga", "sketched_sgd"):
+        if config.variant in SKETCHED:
             config.protocol(spec.dim)
         return config
     except (TypeError, ValueError) as exc:

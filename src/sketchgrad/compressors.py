@@ -1,13 +1,15 @@
 """Gradient compression operators.
 
 Exact top-k, the l1-scaled sign compressor, and the two-round sketched
-top-k aggregation used by the distributed optimizers: workers sketch
-their payload vectors, the server merges the sketches and extracts
-P*k candidate coordinates, a second round gathers the exact candidate
-values from every worker, and the final update keeps the top-k of the
-exact means. The scaled variant ranks candidates and winners by
-estimate / sqrt(v_hat), which is how the gradient-averaging optimizer
-applies its adaptive preconditioner through the sketch.
+top-k aggregation used by the distributed optimizers.
+``sketched_topk_aggregate(payloads, cfg, v_hat=None)`` takes the
+workers' payloads as the rows of one ``(n, dim)`` matrix: all rows are
+sketched in one sparse product, the server merges the sketches and
+extracts P*k candidate coordinates, a second round gathers the exact
+candidate values from every worker, and the final update keeps the
+top-k of the exact means. Given ``v_hat``, candidates and winners are
+ranked by estimate / sqrt(v_hat), which is how the gradient-averaging
+optimizer applies its adaptive preconditioner through the sketch.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import CountSketch, SketchConfig, _cells, sketch_rows, top_m
-from .sketch import sketch_vector  # noqa: F401  (perfbench traces it under this module)
+from .sketch import CountSketch, SketchConfig, sketch_rows, top_m
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,12 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """Output of one two-round aggregation.
-
-    per_worker_updates share global_update's index set, and their mean
-    (accumulated in worker-index order) equals global_update exactly.
-    For the scaled protocol the stored values are the raw worker values;
-    the caller applies the 1/sqrt(v_hat) scaling.
-    """
+    """Output of one two-round aggregation. global_update holds the exact
+    mean of the workers' values on the chosen coordinates, accumulated in
+    worker order; with v_hat, they are unscaled and the caller applies
+    the 1/sqrt(v_hat) scaling."""
 
     global_update: SparseUpdate
-    per_worker_updates: list[SparseUpdate]
     chosen_indices: np.ndarray
     candidate_indices: np.ndarray
     upstream_scalars: int
@@ -127,113 +124,65 @@ def sign_compress(vector: np.ndarray) -> np.ndarray:
     return np.where(vector < 0, -magnitude, magnitude)
 
 
-def sequential_mean(rows: list[np.ndarray]) -> np.ndarray:
-    """Mean accumulated in list order; the fixed order keeps runs
-    reproducible and lets tests rebuild the exact float result."""
+def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """Mean of the rows (of a list or a 2-d array) accumulated in row
+    order; the fixed order keeps runs reproducible and lets tests rebuild
+    the exact float result."""
     acc = np.zeros_like(rows[0])
     for r in rows:
         acc = acc + r
     return acc / len(rows)
 
 
-def _merged_sketch(worker_vectors: list[np.ndarray], cfg: ProtocolConfig) -> CountSketch:
+def _merged_sketch(payloads: np.ndarray, cfg: ProtocolConfig) -> CountSketch:
     """Mean of the worker sketches, summed in worker order."""
-    dim = cfg.sketch.dim
-    for w in worker_vectors:
-        if w.shape != (dim,):
-            raise ValueError(f"worker vector shape {w.shape} does not match dim {dim}")
-    tables = sketch_rows(cfg.sketch, np.array(worker_vectors))
+    tables = sketch_rows(cfg.sketch, payloads)
     acc = np.zeros(cfg.sketch.size)
-    for w in range(len(worker_vectors)):
+    for w in range(tables.shape[1]):
         acc += tables[:, w]
-    acc /= len(worker_vectors)
+    acc /= tables.shape[1]
     return CountSketch(cfg.sketch, acc.reshape(cfg.sketch.rows, cfg.sketch.cols))
 
 
-def _round_two(
-    worker_vectors: list[np.ndarray],
-    cfg: ProtocolConfig,
-    candidates: np.ndarray,
-    ranking_scale: np.ndarray | None,
+def sketched_topk_aggregate(
+    payloads: np.ndarray | list[np.ndarray], cfg: ProtocolConfig, v_hat: np.ndarray | None = None
 ) -> AggregationResult:
-    """Gather exact candidate values from every worker, rank the means
-    (scaled if requested), and package the top-k as sparse updates."""
-    candidate_vals = [w[candidates] for w in worker_vectors]
-    mean_vals = sequential_mean(candidate_vals)
+    """Two-round sketched aggregation of the rows of an (n, dim) payload
+    matrix, one row per worker.
+
+    Round 1 merges the worker sketches and extracts P*k candidates from
+    the mean sketch; round 2 gathers the exact candidate values and keeps
+    the top-k of the exact means. With v_hat, both rounds rank by
+    |value| / sqrt(v_hat): each point-query estimate is divided by
+    sqrt(v_hat_i) before candidate ranking.
+    """
+    payloads = np.asarray(payloads, dtype=np.float64)
+    merged = _merged_sketch(payloads, cfg)
+    if v_hat is None:
+        candidates = merged.heavy_candidates(cfg.n_candidates)
+    else:
+        v_hat = np.asarray(v_hat, dtype=np.float64)
+        if v_hat.shape != (cfg.sketch.dim,):
+            raise ValueError("v_hat length must equal dim")
+        if not np.all(v_hat > 0):
+            raise ValueError("v_hat must be strictly positive")
+        scale = np.sqrt(v_hat)
+        candidates = top_m(np.abs(merged.estimate_all() / scale), cfg.n_candidates)
+    mean_vals = sequential_mean(payloads[:, candidates])
     scores = np.abs(mean_vals)
-    if ranking_scale is not None:
-        scores = scores / ranking_scale
+    if v_hat is not None:
+        scores = scores / scale[candidates]
     order = np.lexsort((candidates, -scores))
     pos = order[: cfg.k]
-    ascending = np.argsort(candidates[pos], kind="stable")
-    pos = pos[ascending]
+    pos = pos[np.argsort(candidates[pos], kind="stable")]
     chosen = candidates[pos]
-    dim = cfg.sketch.dim
-    per_worker = [
-        SparseUpdate(dim=dim, indices=chosen, values=v[pos]) for v in candidate_vals
-    ]
-    global_update = SparseUpdate(dim=dim, indices=chosen, values=mean_vals[pos])
     return AggregationResult(
-        global_update=global_update,
-        per_worker_updates=per_worker,
+        global_update=SparseUpdate(dim=cfg.sketch.dim, indices=chosen, values=mean_vals[pos]),
         chosen_indices=chosen,
         candidate_indices=candidates,
         upstream_scalars=cfg.upstream_scalars,
         downstream_scalars=cfg.downstream_scalars,
     )
-
-
-def sketched_topk_aggregate(
-    worker_vectors: list[np.ndarray], cfg: ProtocolConfig
-) -> AggregationResult:
-    """Two-round sketched aggregation of n worker vectors.
-
-    Round 1 merges the worker sketches and extracts P*k candidates from
-    the mean sketch; round 2 gathers exact candidate values and keeps
-    the top-k of the exact means.
-    """
-    worker_vectors = [np.asarray(w, dtype=np.float64) for w in worker_vectors]
-    merged = _merged_sketch(worker_vectors, cfg)
-    candidates = merged.heavy_candidates(cfg.n_candidates)
-    return _round_two(worker_vectors, cfg, candidates, None)
-
-
-def sketched_topk_aggregate_scaled(
-    worker_vectors: list[np.ndarray],
-    v_hat: np.ndarray,
-    cfg: ProtocolConfig,
-    bucket_rescale: bool = False,
-) -> AggregationResult:
-    """Sketched aggregation ranking coordinates by |value| / sqrt(v_hat).
-
-    Candidate extraction queries the merged sketch and divides each
-    estimate by sqrt(v_hat_i) before ranking; round-2 means and the
-    final top-k are ranked in the same scaled space. The returned
-    updates hold unscaled worker values.
-
-    bucket_rescale=True switches candidate extraction to the literal
-    table-rescaling form (divide cell (j, h_j(i)) by sqrt(v_hat_i) for
-    every coordinate i), which double-divides buckets shared by several
-    coordinates; kept for fidelity experiments only.
-    """
-    worker_vectors = [np.asarray(w, dtype=np.float64) for w in worker_vectors]
-    v_hat = np.asarray(v_hat, dtype=np.float64)
-    if v_hat.shape != (cfg.sketch.dim,):
-        raise ValueError("v_hat length must equal dim")
-    if not np.all(v_hat > 0):
-        raise ValueError("v_hat must be strictly positive")
-    scale_vec = np.sqrt(v_hat)
-    merged = _merged_sketch(worker_vectors, cfg)
-    if bucket_rescale:
-        cells, _ = _cells(cfg.sketch)
-        divisor = np.ones(cfg.sketch.size)
-        np.multiply.at(divisor, cells.ravel(), np.repeat(scale_vec, cfg.sketch.rows))
-        rescaled = CountSketch(cfg.sketch, merged.table / divisor.reshape(merged.table.shape))
-        candidates = rescaled.heavy_candidates(cfg.n_candidates)
-    else:
-        est = merged.estimate_all() / scale_vec
-        candidates = top_m(np.abs(est), cfg.n_candidates)
-    return _round_two(worker_vectors, cfg, candidates, scale_vec[candidates])
 
 
 def compression_rate(dim: int, upstream_scalars: int, downstream_scalars: int) -> float:

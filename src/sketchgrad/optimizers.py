@@ -1,27 +1,30 @@
 """Distributed Adam-type optimizers with sketched top-k aggregation.
 
-Four synchronous one-step updates over n worker gradients:
+One ``OptimizerState`` and one synchronous ``step`` serve five variants.
+Per-worker state is held as the rows of ``(n, dim)`` arrays and updated
+in place:
 
-* ``pa_step``: each worker runs a full AMSGrad state locally and the
-  preconditioned updates (momentum / sqrt(v_hat) plus carried error)
-  are aggregated through the sketch; the chosen coordinates move the
-  shared iterate (parameter averaging).
-* ``ga_step``: workers keep only momentum and error; a single variance
-  state lives on the server, fed by the exact gradient coordinates of
-  the previously chosen index set, and candidate ranking is
-  preconditioned by sqrt(v_hat) inside the aggregation (gradient
-  averaging). With k = dim this reduces to the dense optimizer.
-* ``dense_amsgrad_step``: the uncompressed baseline on the mean gradient.
-* ``sketched_sgd_step``: momentum SGD with the same sketched aggregation
-  and error feedback, no adaptive scaling.
+* ``pa``: each worker runs a full AMSGrad state (rows of ``m``, ``v``,
+  ``v_hat``) and sends ``m / sqrt(v_hat)`` plus its carried error through
+  the sketch; the chosen coordinates move the shared iterate (parameter
+  averaging).
+* ``ga``: workers keep only momentum and error; one server variance
+  (``v``, ``v_hat`` of shape ``(dim,)``) is fed by the exact gradient
+  coordinates of the previously chosen index set (``k`` extra scalars
+  upstream), and candidates are ranked by ``|value| / sqrt(v_hat)``
+  inside the aggregation (gradient averaging). With k = dim this
+  reduces to the dense optimizer.
+* ``sketched_sgd``: momentum SGD (``m`` holds ``u = beta1 u + g``) with
+  the same sketched aggregation and error feedback.
+* ``dense_amsgrad`` and ``dense_sgd``: the uncompressed baselines on the
+  mean gradient.
 
 Error feedback keeps the dropped coordinates in a local accumulator
 that is added back to the next round's payload, so compression error
-is transmitted eventually instead of lost. Both sketched variants
-maintain an optional shadow iterate updated with the *uncompressed*
-payload mean; the gap between the real and shadow iterates must equal
-the scaled mean error at every step, which is the invariant the test
-suite checks.
+is transmitted eventually instead of lost. PA and GA maintain an
+optional shadow iterate updated with the *uncompressed* payload mean;
+the gap between the real and shadow iterates must equal the scaled mean
+error at every step, which is the invariant the test suite checks.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import (
-    ProtocolConfig,
-    sequential_mean,
-    sketched_topk_aggregate,
-    sketched_topk_aggregate_scaled,
-)
+from .compressors import ProtocolConfig, sequential_mean, sketched_topk_aggregate
 from .sketch import top_m
+
+VARIANTS = ("pa", "ga", "dense_amsgrad", "sketched_sgd", "dense_sgd")
+SKETCHED = ("pa", "ga", "sketched_sgd")
 
 
 class NumericError(RuntimeError):
@@ -67,22 +68,23 @@ class HyperParams:
 
 
 def step_size(params: HyperParams, variant: str) -> float:
-    """Constant step size: alpha/sqrt(1+T) for PA, alpha/sqrt(1+T/n) for GA.
+    """Constant step size: alpha/sqrt(1+T) for PA and the SGD baselines,
+    alpha/sqrt(1+T/n) for GA and dense AMSGrad.
 
     Both schedules depend on the horizon T, not on the iteration, so
     the error-rescaling factor alpha_{t-1}/alpha_t is 1 throughout and
     the carried error enters each payload unscaled.
     """
-    if variant == "pa":
+    if variant in ("pa", "sketched_sgd", "dense_sgd"):
         return params.alpha / math.sqrt(1.0 + params.horizon)
-    if variant == "ga":
+    if variant in ("ga", "dense_amsgrad"):
         return params.alpha / math.sqrt(1.0 + params.horizon / params.n_workers)
-    raise ValueError(f"variant must be 'pa' or 'ga', got {variant!r}")
+    raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 @dataclass
 class StepDiagnostics:
-    """Per-iteration health metrics reported by every step function."""
+    """Per-iteration health metrics reported by every step."""
 
     contraction_ratio: float
     topk_overlap: float
@@ -92,86 +94,70 @@ class StepDiagnostics:
 
 
 @dataclass
-class PAWorkerState:
-    m: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray
-    e: np.ndarray
+class OptimizerState:
+    """Everything one variant carries between steps; arrays a variant
+    does not use are None.
 
-    @classmethod
-    def initial(cls, dim: int, epsilon: float) -> "PAWorkerState":
-        return cls(
-            m=np.zeros(dim),
-            v=np.full(dim, epsilon),
-            v_hat=np.full(dim, epsilon),
-            e=np.zeros(dim),
-        )
+    ``m`` and ``e`` are ``(n, dim)`` (one row per worker) for the
+    sketched variants; ``m`` is the server's ``(dim,)`` momentum for
+    dense AMSGrad. ``v`` and ``v_hat`` are ``(n, dim)`` for PA and the
+    server's ``(dim,)`` for GA and dense AMSGrad. ``last_indices`` is
+    the index set chosen by the previous sketched step.
+    """
 
-
-@dataclass
-class GAWorkerState:
-    m: np.ndarray
-    e: np.ndarray
-
-    @classmethod
-    def initial(cls, dim: int) -> "GAWorkerState":
-        return cls(m=np.zeros(dim), e=np.zeros(dim))
-
-
-@dataclass
-class GAServerState:
+    variant: str
     x: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray
+    m: np.ndarray | None
+    v: np.ndarray | None
+    v_hat: np.ndarray | None
+    e: np.ndarray | None
     last_indices: np.ndarray
     shadow_x: np.ndarray | None
 
     @classmethod
-    def initial(cls, x0: np.ndarray, epsilon: float, track_shadow: bool = True) -> "GAServerState":
-        x0 = np.asarray(x0, dtype=np.float64)
+    def initial(
+        cls, variant: str, x0: np.ndarray, params: HyperParams, track_shadow: bool = True
+    ) -> "OptimizerState":
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        x = np.array(x0, dtype=np.float64)
+        d, n = x.shape[0], params.n_workers
+        m_shape, v_shape, e_shape = {
+            "pa": ((n, d), (n, d), (n, d)),
+            "ga": ((n, d), (d,), (n, d)),
+            "sketched_sgd": ((n, d), None, (n, d)),
+            "dense_amsgrad": ((d,), (d,), None),
+            "dense_sgd": (None, None, None),
+        }[variant]
         return cls(
-            x=x0.copy(),
-            v=np.full(x0.shape[0], epsilon),
-            v_hat=np.full(x0.shape[0], epsilon),
+            variant=variant,
+            x=x,
+            m=np.zeros(m_shape) if m_shape else None,
+            v=np.full(v_shape, params.epsilon) if v_shape else None,
+            v_hat=np.full(v_shape, params.epsilon) if v_shape else None,
+            e=np.zeros(e_shape) if e_shape else None,
             last_indices=np.empty(0, dtype=np.int64),
-            shadow_x=x0.copy() if track_shadow else None,
+            shadow_x=x.copy() if track_shadow and variant in ("pa", "ga") else None,
         )
 
 
-@dataclass
-class DenseAmsgradState:
-    x: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    v_hat: np.ndarray
-
-    @classmethod
-    def initial(cls, x0: np.ndarray, epsilon: float) -> "DenseAmsgradState":
-        x0 = np.asarray(x0, dtype=np.float64)
-        d = x0.shape[0]
-        return cls(x=x0.copy(), m=np.zeros(d), v=np.full(d, epsilon), v_hat=np.full(d, epsilon))
+def _check_grads(grads, n: int, dim: int, t: int) -> np.ndarray:
+    """The gradients as one (n, dim) float64 array, without a copy when
+    they already are one."""
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.shape != (n, dim):
+        raise ValueError(f"gradient shape {grads.shape} does not match (n_workers, dim) {(n, dim)}")
+    bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite gradient from worker {bad[0]} at iteration {t}")
+    return grads
 
 
-@dataclass
-class SgdWorkerState:
-    u: np.ndarray
-    e: np.ndarray
-
-    @classmethod
-    def initial(cls, dim: int) -> "SgdWorkerState":
-        return cls(u=np.zeros(dim), e=np.zeros(dim))
-
-
-def _check_grads(grads: list[np.ndarray], dim: int, t: int) -> list[np.ndarray]:
-    out = []
-    for i, g in enumerate(grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (dim,):
-            raise ValueError(f"gradient shape {g.shape} does not match dim {dim}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient from worker {i} at iteration {t}")
-        out.append(g)
-    return out
+def _update_variance(state: OptimizerState, g: np.ndarray, beta2: float) -> None:
+    """v = beta2 v + (1 - beta2) g^2 and v_hat = max(v_hat, v), in place."""
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    np.maximum(state.v_hat, state.v, out=state.v_hat)
 
 
 def _selection_diagnostics(
@@ -190,199 +176,77 @@ def _selection_diagnostics(
     return ratio, overlap
 
 
-def pa_step(
-    states: list[PAWorkerState],
-    x: np.ndarray,
-    grads: list[np.ndarray],
+def step(
+    state: OptimizerState,
+    grads: np.ndarray | list[np.ndarray],
     params: HyperParams,
-    cfg: ProtocolConfig,
+    cfg: ProtocolConfig | None,
     t: int,
-    shadow_x: np.ndarray | None = None,
-) -> tuple[list[PAWorkerState], np.ndarray, StepDiagnostics]:
-    """One parameter-averaging step; mutates states, x and shadow_x in place."""
-    dim = x.shape[0]
-    grads = _check_grads(grads, dim, t)
-    alpha_t = step_size(params, "pa")
-    payloads = []
-    for st, g in zip(states, grads):
-        st.m = params.beta1 * st.m + (1.0 - params.beta1) * g
-        st.v = params.beta2 * st.v + (1.0 - params.beta2) * g * g
-        st.v_hat = np.maximum(st.v_hat, st.v)
-        payloads.append(st.m / np.sqrt(st.v_hat) + st.e)
+) -> StepDiagnostics:
+    """One synchronous step of ``state.variant`` on n worker gradients
+    (an ``(n, dim)`` array or a list of rows); updates ``state`` in place.
+    ``cfg`` is the sketch protocol, unused by the dense variants."""
+    variant = state.variant
+    dim = state.x.shape[0]
+    grads = _check_grads(grads, params.n_workers, dim, t)
+    alpha_t = step_size(params, variant)
+    beta1 = params.beta1
 
-    agg = sketched_topk_aggregate(payloads, cfg)
-    chosen = agg.chosen_indices
-    for st, p in zip(states, payloads):
-        st.e = p.copy()
-        st.e[chosen] = 0.0
-
-    delta = agg.global_update.densify()
-    x -= alpha_t * delta
-
-    gap = math.nan
-    if shadow_x is not None:
-        shadow_x -= alpha_t * sequential_mean([st.m / np.sqrt(st.v_hat) for st in states])
-        mean_err = sequential_mean([st.e for st in states])
-        gap = float(np.max(np.abs(x - shadow_x - alpha_t * mean_err)))
-
-    target = sequential_mean(payloads)
-    ratio_sq, overlap = _selection_diagnostics(target, delta, chosen, cfg.k)
-    diag = StepDiagnostics(
-        contraction_ratio=ratio_sq,
-        topk_overlap=overlap,
-        shadow_gap=gap,
-        upstream_scalars=agg.upstream_scalars,
-        downstream_scalars=agg.downstream_scalars,
-    )
-    return states, x, diag
-
-
-def ga_step(
-    states: list[GAWorkerState],
-    server: GAServerState,
-    grads: list[np.ndarray],
-    params: HyperParams,
-    cfg: ProtocolConfig,
-    t: int,
-    literal_error: bool = False,
-    bucket_rescale: bool = False,
-) -> tuple[list[GAWorkerState], GAServerState, StepDiagnostics]:
-    """One gradient-averaging step; mutates states and server in place.
-
-    literal_error=True reproduces the error update written as
-    payload - scaled_restriction, which mixes the momentum and
-    preconditioned scales; the default keeps the error in momentum
-    space so it is exactly zero on the chosen coordinates.
-    """
-    dim = server.x.shape[0]
-    grads = _check_grads(grads, dim, t)
-    alpha_t = step_size(params, "ga")
-
-    for st, g in zip(states, grads):
-        st.m = params.beta1 * st.m + (1.0 - params.beta1) * g
-    # the h payload: exact gradients on the previously chosen coordinates
-    last = server.last_indices
-    h_mean = np.zeros(dim)
-    h_mean[last] = sequential_mean([g[last] for g in grads])
-    server.v = params.beta2 * server.v + (1.0 - params.beta2) * h_mean * h_mean
-    server.v_hat = np.maximum(server.v_hat, server.v)
-
-    payloads = [st.m + st.e for st in states]
-    agg = sketched_topk_aggregate_scaled(payloads, server.v_hat, cfg, bucket_rescale=bucket_rescale)
-    chosen = agg.chosen_indices
-    inv_scale = 1.0 / np.sqrt(server.v_hat)
-
-    for st, p in zip(states, payloads):
-        st.e = p.copy()
-        if literal_error:
-            st.e[chosen] = p[chosen] - p[chosen] * inv_scale[chosen]
+    if variant not in SKETCHED:
+        g = sequential_mean(grads)
+        if variant == "dense_sgd":
+            state.x -= alpha_t * g
         else:
-            st.e[chosen] = 0.0
+            state.m *= beta1
+            state.m += (1.0 - beta1) * g
+            _update_variance(state, g, params.beta2)
+            state.x -= alpha_t * (state.m / np.sqrt(state.v_hat))
+        return StepDiagnostics(0.0, 1.0, math.nan, dim, dim)
+
+    state.m *= beta1
+    state.m += grads if variant == "sketched_sgd" else (1.0 - beta1) * grads
+    direction, inv_scale = state.m, None
+    if variant == "pa":
+        _update_variance(state, grads, params.beta2)
+        direction = np.sqrt(state.v_hat)
+        np.divide(state.m, direction, out=direction)
+    elif variant == "ga":
+        # the h payload: exact gradients on the previously chosen coordinates
+        h_mean = np.zeros(dim)
+        h_mean[state.last_indices] = sequential_mean(grads[:, state.last_indices])
+        _update_variance(state, h_mean, params.beta2)
+        inv_scale = 1.0 / np.sqrt(state.v_hat)
+    payloads = state.e  # the carried error becomes this round's payload
+    payloads += direction
+    # the shadow iterate's step, also the error's weight in the shadow identity
+    rate = alpha_t if inv_scale is None else alpha_t * inv_scale
+    if state.shadow_x is not None:
+        state.shadow_x -= rate * sequential_mean(direction)
+    del direction  # PA's (n, dim) temporary is not held through the aggregation
+
+    agg = sketched_topk_aggregate(payloads, cfg, v_hat=state.v_hat if variant == "ga" else None)
+    chosen = agg.chosen_indices
+    target = sequential_mean(payloads)
+    payloads[:, chosen] = 0.0  # the error keeps what was not sent
+    state.last_indices = chosen
 
     delta = np.zeros(dim)
-    delta[chosen] = agg.global_update.values * inv_scale[chosen]
-    server.x -= alpha_t * delta
+    delta[chosen] = agg.global_update.values
+    if inv_scale is not None:
+        delta[chosen] *= inv_scale[chosen]
+        target *= inv_scale
+    state.x -= alpha_t * delta
 
     gap = math.nan
-    if server.shadow_x is not None:
-        m_mean = sequential_mean([st.m for st in states])
-        server.shadow_x -= alpha_t * inv_scale * m_mean
-        mean_err = sequential_mean([st.e for st in states])
-        gap = float(
-            np.max(np.abs(server.x - server.shadow_x - alpha_t * inv_scale * mean_err))
-        )
-
-    server.last_indices = chosen
-    target = sequential_mean(payloads) * inv_scale
+    if state.shadow_x is not None:
+        mean_err = sequential_mean(state.e)
+        gap = float(np.max(np.abs(state.x - state.shadow_x - rate * mean_err)))
     ratio_sq, overlap = _selection_diagnostics(target, delta, chosen, cfg.k)
-    diag = StepDiagnostics(
+    return StepDiagnostics(
         contraction_ratio=ratio_sq,
         topk_overlap=overlap,
         shadow_gap=gap,
-        # the h payload adds k exact gradient coordinates upstream
-        upstream_scalars=agg.upstream_scalars + cfg.k,
+        # GA's h payload adds k exact gradient coordinates upstream
+        upstream_scalars=agg.upstream_scalars + (cfg.k if variant == "ga" else 0),
         downstream_scalars=agg.downstream_scalars,
     )
-    return states, server, diag
-
-
-def dense_amsgrad_step(
-    state: DenseAmsgradState,
-    grads: list[np.ndarray],
-    params: HyperParams,
-    t: int,
-) -> tuple[DenseAmsgradState, StepDiagnostics]:
-    """Uncompressed distributed AMSGrad on the mean gradient.
-
-    Uses the gradient-averaging schedule, matching the optimizer that
-    the sketched gradient-averaging variant degenerates to at k = dim.
-    """
-    dim = state.x.shape[0]
-    grads = _check_grads(grads, dim, t)
-    alpha_t = step_size(params, "ga")
-    g = sequential_mean(grads)
-    state.m = params.beta1 * state.m + (1.0 - params.beta1) * g
-    state.v = params.beta2 * state.v + (1.0 - params.beta2) * g * g
-    state.v_hat = np.maximum(state.v_hat, state.v)
-    state.x -= alpha_t * (state.m / np.sqrt(state.v_hat))
-    diag = StepDiagnostics(
-        contraction_ratio=0.0,
-        topk_overlap=1.0,
-        shadow_gap=math.nan,
-        upstream_scalars=dim,
-        downstream_scalars=dim,
-    )
-    return state, diag
-
-
-def sketched_sgd_step(
-    states: list[SgdWorkerState],
-    x: np.ndarray,
-    grads: list[np.ndarray],
-    params: HyperParams,
-    cfg: ProtocolConfig,
-    t: int,
-) -> tuple[list[SgdWorkerState], np.ndarray, StepDiagnostics]:
-    """Momentum SGD with sketched top-k aggregation and error feedback."""
-    dim = x.shape[0]
-    grads = _check_grads(grads, dim, t)
-    alpha_t = step_size(params, "pa")
-    payloads = []
-    for st, g in zip(states, grads):
-        st.u = params.beta1 * st.u + g
-        payloads.append(st.u + st.e)
-    agg = sketched_topk_aggregate(payloads, cfg)
-    chosen = agg.chosen_indices
-    for st, p in zip(states, payloads):
-        st.e = p.copy()
-        st.e[chosen] = 0.0
-    delta = agg.global_update.densify()
-    x -= alpha_t * delta
-    target = sequential_mean(payloads)
-    ratio_sq, overlap = _selection_diagnostics(target, delta, chosen, cfg.k)
-    diag = StepDiagnostics(
-        contraction_ratio=ratio_sq,
-        topk_overlap=overlap,
-        shadow_gap=math.nan,
-        upstream_scalars=agg.upstream_scalars,
-        downstream_scalars=agg.downstream_scalars,
-    )
-    return states, x, diag
-
-
-def dense_sgd_step(
-    x: np.ndarray, grads: list[np.ndarray], params: HyperParams, t: int
-) -> tuple[np.ndarray, StepDiagnostics]:
-    """Plain synchronous SGD on the mean gradient (no momentum, no state)."""
-    dim = x.shape[0]
-    grads = _check_grads(grads, dim, t)
-    alpha_t = step_size(params, "pa")
-    x -= alpha_t * sequential_mean(grads)
-    diag = StepDiagnostics(
-        contraction_ratio=0.0,
-        topk_overlap=1.0,
-        shadow_gap=math.nan,
-        upstream_scalars=dim,
-        downstream_scalars=dim,
-    )
-    return x, diag

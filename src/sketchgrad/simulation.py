@@ -22,24 +22,16 @@ import numpy as np
 
 from .compressors import ProtocolConfig, compression_rate
 from .optimizers import (
-    DenseAmsgradState,
-    GAServerState,
-    GAWorkerState,
+    SKETCHED,
     HyperParams,
-    PAWorkerState,
-    SgdWorkerState,
+    NumericError,
+    OptimizerState,
     StepDiagnostics,
-    dense_amsgrad_step,
-    dense_sgd_step,
-    ga_step,
-    pa_step,
-    sketched_sgd_step,
+    step,
 )
 from .sketch import SketchConfig
 
 logger = logging.getLogger(__name__)
-
-VARIANTS = ("pa", "ga", "dense_amsgrad", "sketched_sgd", "dense_sgd")
 
 SHADOW_GAP_TOL = 1e-9
 
@@ -283,6 +275,11 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be a nonnegative 63-bit integer, got {self.seed}")
+        if self.problem.kind == "logreg" and self.n_workers > self.problem.n_samples:
+            raise ValueError(
+                f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
+                "every worker needs a nonempty shard"
+            )
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -325,96 +322,46 @@ def _worker_gradients(
     shards: list[np.ndarray] | None,
     config: RunConfig,
     t: int,
-) -> list[np.ndarray]:
-    grads = []
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill row i of the (n, dim) array out with worker i's gradient."""
     for i in range(config.n_workers):
         rng = _worker_rng(config.seed, t, i)
         if problem.n_samples == 0:
-            g = problem.gradient(x, None)
+            out[i] = problem.gradient(x, None)
             if problem.noise_std > 0.0:
-                g = g + (problem.noise_std / math.sqrt(config.batch_size)) * rng.standard_normal(
+                out[i] += (problem.noise_std / math.sqrt(config.batch_size)) * rng.standard_normal(
                     problem.dim
                 )
         else:
             shard = shards[i]
             batch = shard[rng.integers(0, shard.shape[0], size=config.batch_size)]
-            g = problem.gradient(x, batch)
-        grads.append(g)
-    return grads
+            out[i] = problem.gradient(x, batch)
+    return out
 
 
-class _Cluster:
-    """Optimizer state plus a one-step dispatcher for a chosen variant."""
-
-    def __init__(self, config: RunConfig, problem: Problem):
-        self.config = config
-        self.variant = config.variant
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {config.variant!r}")
-        self.hyper = config.hyper()
-        self.x = np.zeros(problem.dim)
-        self.proto = None
-        track = config.check_invariants
-        n, d, eps = config.n_workers, problem.dim, config.epsilon
-        if self.variant in ("pa", "ga", "sketched_sgd"):
-            self.proto = config.protocol(d)
-        if self.variant == "pa":
-            self.workers = [PAWorkerState.initial(d, eps) for _ in range(n)]
-            self.shadow = self.x.copy() if track else None
-        elif self.variant == "ga":
-            self.server = GAServerState.initial(self.x, eps, track_shadow=track)
-            self.workers = [GAWorkerState.initial(d) for _ in range(n)]
-            self.x = self.server.x
-        elif self.variant == "dense_amsgrad":
-            self.server = DenseAmsgradState.initial(self.x, eps)
-            self.x = self.server.x
-        elif self.variant == "sketched_sgd":
-            self.workers = [SgdWorkerState.initial(d) for _ in range(n)]
-
-    def step(self, grads: list[np.ndarray], t: int) -> StepDiagnostics:
-        if self.variant == "pa":
-            _, self.x, diag = pa_step(
-                self.workers, self.x, grads, self.hyper, self.proto, t, shadow_x=self.shadow
-            )
-        elif self.variant == "ga":
-            _, _, diag = ga_step(self.workers, self.server, grads, self.hyper, self.proto, t)
-        elif self.variant == "dense_amsgrad":
-            _, diag = dense_amsgrad_step(self.server, grads, self.hyper, t)
-        elif self.variant == "sketched_sgd":
-            _, self.x, diag = sketched_sgd_step(
-                self.workers, self.x, grads, self.hyper, self.proto, t
-            )
-        else:
-            self.x, diag = dense_sgd_step(self.x, grads, self.hyper, t)
-        return diag
-
-    def v_hats(self) -> list[np.ndarray]:
-        """The live v_hat arrays, which must never decrease."""
-        if self.variant == "pa":
-            return [w.v_hat for w in self.workers]
-        if self.variant in ("ga", "dense_amsgrad"):
-            return [self.server.v_hat]
-        return []
-
-
-def _check_step_invariants(cluster: _Cluster, diag: StepDiagnostics, prev_v_hat, t: int) -> None:
+def _check_step_invariants(
+    state: OptimizerState, diag: StepDiagnostics, prev_v_hat: np.ndarray | None, t: int
+) -> None:
     if not math.isnan(diag.shadow_gap) and diag.shadow_gap > SHADOW_GAP_TOL:
         raise InvariantViolation(
             f"shadow identity violated at iteration {t}: gap {diag.shadow_gap:.3e} "
             f"> {SHADOW_GAP_TOL:.0e}"
         )
-    if prev_v_hat is not None:
-        for old, new in zip(prev_v_hat, cluster.v_hats()):
-            if np.any(new < old):
-                raise InvariantViolation(f"v_hat decreased at iteration {t}")
-    if cluster.variant == "ga":
-        for w in cluster.workers:
-            if np.any(w.e[cluster.server.last_indices] != 0.0):
-                raise InvariantViolation(f"error not zero on chosen set at iteration {t}")
+    if prev_v_hat is not None and np.any(state.v_hat < prev_v_hat):
+        raise InvariantViolation(f"v_hat decreased at iteration {t}")
+    if state.e is not None and np.any(state.e[:, state.last_indices] != 0.0):
+        raise InvariantViolation(f"error not zero on chosen set at iteration {t}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
-    """Execute one seeded training run and return (final x, trace)."""
+    """Execute one seeded training run and return (final x, trace).
+
+    Raises NumericError at the first non-finite gradient, iterate, loss
+    or squared gradient norm, before any invariant check of that step;
+    that error replaces numpy's overflow and invalid-value warnings.
+    """
     problem = build_problem(config.problem, config.seed)
     shards = None
     if problem.n_samples > 0:
@@ -422,22 +369,33 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
             problem.labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
         )
         shards = partition.shards()
-    cluster = _Cluster(config, problem)
+    params = config.hyper()
+    proto = config.protocol(problem.dim) if config.variant in SKETCHED else None
+    state = OptimizerState.initial(
+        config.variant, np.zeros(problem.dim), params, track_shadow=config.check_invariants
+    )
+    grads = np.empty((config.n_workers, problem.dim))
     records: list[TraceRecord] = []
     grad_inf_max = 0.0
     for t in range(1, config.horizon + 1):
-        grads = _worker_gradients(problem, cluster.x, shards, config, t)
-        grad_inf_max = max(grad_inf_max, max(float(np.max(np.abs(g))) for g in grads))
-        prev_v_hat = [v.copy() for v in cluster.v_hats()] if config.check_invariants else None
-        diag = cluster.step(grads, t)
+        _worker_gradients(problem, state.x, shards, config, t, grads)
+        grad_inf_max = max(grad_inf_max, float(grads.max()), -float(grads.min()))
+        check = config.check_invariants and state.v_hat is not None
+        prev_v_hat = state.v_hat.copy() if check else None
+        diag = step(state, grads, params, proto, t)
+        full_grad = problem.gradient(state.x, None)
+        loss = problem.loss(state.x, None)
+        grad_norm_sq = float(np.dot(full_grad, full_grad))
+        for name, value in (("iterate", state.x), ("train_loss", loss), ("grad_norm_sq", grad_norm_sq)):
+            if not np.all(np.isfinite(value)):
+                raise NumericError(f"non-finite {name} at iteration {t}")
         if config.check_invariants:
-            _check_step_invariants(cluster, diag, prev_v_hat, t)
-        full_grad = problem.gradient(cluster.x, None)
+            _check_step_invariants(state, diag, prev_v_hat, t)
         records.append(
             TraceRecord(
                 iter=t,
-                train_loss=problem.loss(cluster.x, None),
-                grad_norm_sq=float(np.dot(full_grad, full_grad)),
+                train_loss=loss,
+                grad_norm_sq=grad_norm_sq,
                 upstream_scalars=diag.upstream_scalars,
                 downstream_scalars=diag.downstream_scalars,
                 compression_rate=compression_rate(
@@ -452,7 +410,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     logger.info("max worker gradient inf-norm over run: %.6g", grad_inf_max)
     if config.trace_path is not None:
         write_trace(records, config.trace_path)
-    return cluster.x, records
+    return state.x, records
 
 
 def _format_cell(value) -> str:

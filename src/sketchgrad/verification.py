@@ -19,20 +19,9 @@ from .compressors import (
     sequential_mean,
     sign_compress,
     sketched_topk_aggregate,
-    sketched_topk_aggregate_scaled,
     top_k,
 )
-from .optimizers import (
-    DenseAmsgradState,
-    GAServerState,
-    GAWorkerState,
-    HyperParams,
-    PAWorkerState,
-    dense_amsgrad_step,
-    ga_step,
-    pa_step,
-    step_size,
-)
+from .optimizers import HyperParams, OptimizerState, step, step_size
 from .sketch import CountSketch, SketchConfig, sketch_vector
 from .simulation import ProblemSpec, RunConfig, run
 
@@ -213,26 +202,26 @@ def _contraction_trial(
     d, r, c, k, p, n = 10_000, 7, 2000, 100, 4, 4
     rng = np.random.default_rng([seed, 31 if scaled else 29, trial])
     vectors, _ = _planted_vectors(rng, n, d, k)
+    payloads = np.array(vectors)
     cfg = ProtocolConfig(
         k=k, p_factor=p, sketch=SketchConfig(rows=r, cols=c, seed=int(rng.integers(1 << 62)), dim=d)
     )
+    root = 1.0
+    v_hat = None
     if scaled:
         v_hat = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), d))
-        agg = sketched_topk_aggregate_scaled(vectors, v_hat, cfg)
         root = np.sqrt(v_hat)
-        target = sequential_mean(vectors) / root
-        approx = agg.global_update.densify() / root
-    else:
-        agg = sketched_topk_aggregate(vectors, cfg)
-        target = sequential_mean(vectors)
-        approx = agg.global_update.densify()
+    agg = sketched_topk_aggregate(payloads, cfg, v_hat=v_hat)
+    target = sequential_mean(payloads) / root
+    approx = agg.global_update.densify() / root
     diff = approx - target
     err_sq = float(np.dot(diff, diff))
     tgt_sq = float(np.dot(target, target))
     lemma = err_sq <= (1.0 - k / d) * tgt_sq
     safety = math.sqrt(err_sq) <= math.sqrt(tgt_sq)
-    mean_dense = sequential_mean([u.densify() for u in agg.per_worker_updates])
-    consistent = np.array_equal(mean_dense, agg.global_update.densify())
+    # the workers' exact values on the chosen set, averaged in worker order
+    worker_mean = sequential_mean(payloads[:, agg.chosen_indices])
+    consistent = np.array_equal(worker_mean, agg.global_update.values)
     return lemma, safety, consistent
 
 
@@ -339,8 +328,7 @@ def ga_dense_gap(
     cfg = ProtocolConfig(
         k=dim, p_factor=1, sketch=SketchConfig(rows=3, cols=32, seed=seed, dim=dim)
     )
-    server = GAServerState.initial(np.zeros(dim), epsilon)
-    workers = [GAWorkerState.initial(dim) for _ in range(n)]
+    ga = OptimizerState.initial("ga", np.zeros(dim), hp)
     x = np.zeros(dim)
     m = np.zeros(dim)
     v = np.full(dim, epsilon)
@@ -349,14 +337,14 @@ def ga_dense_gap(
     worst = 0.0
     for t in range(1, steps + 1):
         grads = [rng.standard_normal(dim) for _ in range(n)]
-        ga_step(workers, server, grads, hp, cfg, t)
+        step(ga, grads, hp, cfg, t)
         g = sequential_mean(grads)
         m = hp.beta1 * m + (1 - hp.beta1) * g
         gv = np.zeros(dim) if (lag_first_variance and t == 1) else g
         v = hp.beta2 * v + (1 - hp.beta2) * gv * gv
         v_hat = np.maximum(v_hat, v)
         x = x - alpha_t * m / np.sqrt(v_hat)
-        worst = max(worst, float(np.max(np.abs(server.x - x))))
+        worst = max(worst, float(np.max(np.abs(ga.x - x))))
     return worst
 
 
@@ -397,22 +385,17 @@ def optimizer_suite(seed: int = 0) -> list[CheckResult]:
     dim, n = 30, 3
     hp = HyperParams(alpha=0.1, beta1=0.9, beta2=0.99, epsilon=1e-8, horizon=1000, n_workers=n)
     cfg = ProtocolConfig(k=3, p_factor=4, sketch=SketchConfig(rows=3, cols=16, seed=seed, dim=dim))
-    pa_states = [PAWorkerState.initial(dim, hp.epsilon) for _ in range(n)]
-    server = GAServerState.initial(np.zeros(dim), hp.epsilon)
-    ga_states = [GAWorkerState.initial(dim) for _ in range(n)]
-    dense = DenseAmsgradState.initial(np.zeros(dim), hp.epsilon)
-    x = np.zeros(dim)
+    states = [OptimizerState.initial(v, np.zeros(dim), hp) for v in ("pa", "ga", "dense_amsgrad")]
+    ga = states[1]
     monotone = True
     ortho = True
     for t in range(1, 1001):
-        grads = [rng.standard_normal(dim) for _ in range(n)]
-        prev = [w.v_hat.copy() for w in pa_states] + [server.v_hat.copy(), dense.v_hat.copy()]
-        pa_step(pa_states, x, grads, hp, cfg, t)
-        ga_step(ga_states, server, grads, hp, cfg, t)
-        dense_amsgrad_step(dense, grads, hp, t)
-        now = [w.v_hat for w in pa_states] + [server.v_hat, dense.v_hat]
-        monotone &= all(np.all(b >= a) for a, b in zip(prev, now))
-        ortho &= all(np.all(w.e[server.last_indices] == 0.0) for w in ga_states)
+        grads = rng.standard_normal((n, dim))
+        for state in states:
+            prev = state.v_hat.copy()
+            step(state, grads, hp, cfg, t)
+            monotone &= bool(np.all(state.v_hat >= prev))
+        ortho &= bool(np.all(ga.e[:, ga.last_indices] == 0.0))
     results.append(CheckResult("optimizer", "v_hat_monotone", monotone, float(monotone), 1.0,
                                "1000 random steps, pa+ga+dense"))
     results.append(CheckResult("optimizer", "ga_error_zero_on_chosen", ortho, float(ortho), 1.0))

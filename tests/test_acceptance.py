@@ -11,14 +11,7 @@ import numpy as np
 
 from sketchgrad.cli import main as cli_main
 from sketchgrad.compressors import ProtocolConfig, sign_compress
-from sketchgrad.optimizers import (
-    DenseAmsgradState,
-    GAServerState,
-    GAWorkerState,
-    HyperParams,
-    dense_amsgrad_step,
-    ga_step,
-)
+from sketchgrad.optimizers import HyperParams, OptimizerState, step
 from sketchgrad.simulation import (
     ProblemSpec,
     RunConfig,
@@ -53,19 +46,18 @@ def test_criterion_1_ga_matches_dense_oracle():
     shards = partition_data(labels, n, "iid", seed=101).shards()
     hp = HyperParams(alpha=0.05, beta1=0.9, beta2=0.999, epsilon=100.0, horizon=T, n_workers=n)
     cfg = ProtocolConfig(k=d, p_factor=1, sketch=SketchConfig(rows=5, cols=128, seed=101, dim=d))
-    server = GAServerState.initial(np.zeros(d), hp.epsilon)
-    workers = [GAWorkerState.initial(d) for _ in range(n)]
-    dense = DenseAmsgradState.initial(np.zeros(d), hp.epsilon)
+    ga = OptimizerState.initial("ga", np.zeros(d), hp)
+    dense = OptimizerState.initial("dense_amsgrad", np.zeros(d), hp)
     worst = 0.0
     for t in range(1, T + 1):
         grads = []
         for i in range(n):
             rng = np.random.default_rng(np.random.SeedSequence([101, t, i]))
             batch = shards[i][rng.integers(0, len(shards[i]), 32)]
-            grads.append(problem.gradient(server.x, batch))
-        ga_step(workers, server, grads, hp, cfg, t)
-        dense_amsgrad_step(dense, grads, hp, t)
-        worst = max(worst, float(np.max(np.abs(server.x - dense.x))))
+            grads.append(problem.gradient(ga.x, batch))
+        step(ga, grads, hp, cfg, t)
+        step(dense, grads, hp, None, t)
+        worst = max(worst, float(np.max(np.abs(ga.x - dense.x))))
     elapsed = time.time() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
     _report(1, ok, f"max |x_ga - x_dense| = {worst:.3e} (tol 1e-12), {elapsed:.2f}s (< 5s)")

@@ -170,6 +170,45 @@ def test_run_numeric_abort_exit_code(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("flags", [[], ["--no-invariants"]])
+def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
+    # alpha 1e300 sends the iterate far enough that its loss overflows at
+    # once; the run must stop there, before the shadow check or the trace
+    body = {"problem": {"kind": "quadratic", "dim": 20}, "variant": "pa", "k": 2,
+            "p_factor": 2, "rows": 3, "cols": 8, "alpha": 1e300}
+    cfg = write_config(tmp_path / "c.json", body)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "-o", str(out), *flags]) == EXIT_NUMERIC
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "numeric" and "iteration 1" in error["detail"]
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # more workers than logreg samples: a worker would get an empty shard
+        {"problem": {"kind": "logreg", "dim": 4, "n_samples": 3}, "n_workers": 4},
+        {"problem": {"kind": "quadratic", "dim": 20.5}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "batch_size": True},
+        {"problem": {"kind": "quadratic", "dim": True}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "alpha": "0.1"},
+        {"problem": {"kind": "quadratic", "dim": 20}, "check_invariants": 1},
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, body):
+    body = {"k": 2, "p_factor": 2, "rows": 3, "cols": 8, "horizon": 2, **body}
+    cfg = write_config(tmp_path / "c.json", body)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "-o", str(out)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
 def test_run_sweep_outputs(tmp_path):
     body = small_quadratic(horizon=15)
     body["sweep"] = {"worker_counts": [1, 2], "threshold": 1e9, "k_values": [2, 4]}

@@ -8,7 +8,6 @@ from sketchgrad.compressors import (
     sequential_mean,
     sign_compress,
     sketched_topk_aggregate,
-    sketched_topk_aggregate_scaled,
     top_k,
 )
 from sketchgrad.sketch import SketchConfig
@@ -151,23 +150,25 @@ def test_aggregate_structure_and_accounting():
     assert set(res.chosen_indices) <= set(res.candidate_indices)
     assert res.upstream_scalars == 4 * 32 + 15
     assert res.downstream_scalars == 5
-    for u in res.per_worker_updates:
-        assert np.array_equal(u.indices, res.global_update.indices)
+    assert np.array_equal(res.chosen_indices, res.global_update.indices)
 
 
 def test_aggregate_mean_consistency_exact():
     d = 60
     cfg = proto(d, k=8, p=2, cols=64)
     vecs = [np.random.default_rng(100 + s).standard_normal(d) for s in range(5)]
-    res = sketched_topk_aggregate(vecs, cfg)
-    oracle = sequential_mean([u.densify() for u in res.per_worker_updates])
-    assert np.array_equal(oracle, res.global_update.densify())
+    payloads = np.array(vecs)
+    res = sketched_topk_aggregate(payloads, cfg)
+    oracle = sequential_mean(payloads[:, res.chosen_indices])
+    assert np.array_equal(oracle, res.global_update.values)
 
 
 def test_aggregate_dimension_mismatch():
     cfg = proto(10, k=2, p=2, cols=16)
     with pytest.raises(ValueError):
         sketched_topk_aggregate([np.zeros(10), np.zeros(9)], cfg)
+    with pytest.raises(ValueError):
+        sketched_topk_aggregate(np.zeros((2, 9)), cfg)
 
 
 def test_aggregate_planted_recovery_vs_bruteforce():
@@ -195,7 +196,7 @@ def test_scaled_aggregate_unit_vhat_matches_unscaled():
     cfg = proto(d, k=6, p=3, cols=64)
     vecs = [np.random.default_rng(200 + s).standard_normal(d) for s in range(3)]
     plain = sketched_topk_aggregate(vecs, cfg)
-    scaled = sketched_topk_aggregate_scaled(vecs, np.ones(d), cfg)
+    scaled = sketched_topk_aggregate(vecs, cfg, v_hat=np.ones(d))
     assert np.array_equal(plain.chosen_indices, scaled.chosen_indices)
     assert np.array_equal(plain.global_update.values, scaled.global_update.values)
     assert np.array_equal(plain.candidate_indices, scaled.candidate_indices)
@@ -209,7 +210,7 @@ def test_scaled_aggregate_hand_case():
         k=1, p_factor=1, sketch=SketchConfig(rows=3, cols=64, seed=5, dim=d)
     )
     vecs = [np.array([3.0, 2.0]), np.array([3.0, 2.0])]
-    res = sketched_topk_aggregate_scaled(vecs, np.array([100.0, 1.0]), cfg)
+    res = sketched_topk_aggregate(vecs, cfg, v_hat=np.array([100.0, 1.0]))
     assert res.chosen_indices.tolist() == [1]
     assert res.global_update.values.tolist() == [2.0]  # unscaled mean value
     plain = sketched_topk_aggregate(vecs, cfg)
@@ -228,7 +229,7 @@ def test_scaled_aggregate_planted_recovery_vs_scaled_oracle():
         vecs = [base + 0.5 * rng.standard_normal(d) for _ in range(n)]
         v_hat = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), d))
         cfg = proto(d, k=k, p=4, rows=7, cols=500, seed=int(rng.integers(1 << 62)))
-        res = sketched_topk_aggregate_scaled(vecs, v_hat, cfg)
+        res = sketched_topk_aggregate(vecs, cfg, v_hat=v_hat)
         mean = sequential_mean(vecs) / np.sqrt(v_hat)
         oracle = sorted(range(d), key=lambda i: (-abs(mean[i]), i))[:k]
         hits += res.chosen_indices.tolist() == sorted(oracle)
@@ -240,27 +241,11 @@ def test_scaled_aggregate_rejects_bad_vhat():
     cfg = proto(d, k=2, p=2, cols=16)
     vecs = [np.ones(d)]
     with pytest.raises(ValueError):
-        sketched_topk_aggregate_scaled(vecs, np.zeros(d), cfg)
+        sketched_topk_aggregate(vecs, cfg, v_hat=np.zeros(d))
     with pytest.raises(ValueError):
-        sketched_topk_aggregate_scaled(vecs, -np.ones(d), cfg)
+        sketched_topk_aggregate(vecs, cfg, v_hat=-np.ones(d))
     with pytest.raises(ValueError):
-        sketched_topk_aggregate_scaled(vecs, np.ones(d - 1), cfg)
-
-
-def test_bucket_rescale_mode_agrees_when_collision_free():
-    # with cols much larger than dim most buckets hold one coordinate,
-    # where the literal table rescaling equals estimate-then-scale
-    d = 8
-    cfg = ProtocolConfig(
-        k=3, p_factor=2, sketch=SketchConfig(rows=5, cols=4096, seed=21, dim=d)
-    )
-    rng = np.random.default_rng(17)
-    vecs = [rng.standard_normal(d) for _ in range(3)]
-    v_hat = np.exp(rng.uniform(-2, 2, d))
-    a = sketched_topk_aggregate_scaled(vecs, v_hat, cfg, bucket_rescale=False)
-    b = sketched_topk_aggregate_scaled(vecs, v_hat, cfg, bucket_rescale=True)
-    assert np.array_equal(a.chosen_indices, b.chosen_indices)
-    assert np.array_equal(a.global_update.values, b.global_update.values)
+        sketched_topk_aggregate(vecs, cfg, v_hat=np.ones(d - 1))
 
 
 def test_contraction_and_safety_short():
