@@ -6,7 +6,8 @@ fall back to a default. A copy of the fully resolved config is written
 next to every trace for reproducibility.
 
 Exit codes: 0 success, 2 malformed config, 3 numeric abort,
-4 invariant or property failure.
+4 invariant or property failure; `main` maps the errors to them in one
+place.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 
 import numpy as np
 
+from . import simulation  # write_trace is looked up here at call time, so wrappers apply
 from .optimizers import SKETCHED, VARIANTS, NumericError
 from .simulation import (
     InvariantViolation,
@@ -28,8 +30,8 @@ from .simulation import (
     RunConfig,
     TraceRecord,
     run,
-    speedup_sweep,
-    write_trace,
+    smoothed_threshold_iteration,
+    write_atomic,
 )
 from .verification import SUITES, run_suites
 
@@ -46,7 +48,13 @@ PRESETS = {
 
 _PROBLEM_FIELDS = {f.name: f for f in dataclasses.fields(ProblemSpec)}
 _RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_SWEEP_KEYS = {"worker_counts", "threshold", "window", "k_values", "alphas"}
+# the JSON type of each sweep key, spelled as a field annotation
+_SWEEP_KEYS = {"worker_counts": "list", "threshold": "float", "window": "int",
+               "k_values": "list", "alphas": "list"}
+# (RunConfig field, sweep key, output file) of each swept parameter
+_SWEEPS = (("n_workers", "worker_counts", "speedup.csv"), ("k", "k_values", "sweep_k.csv"),
+           ("alpha", "alphas", "sweep_alpha.csv"))
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "list": list}
 
 
 class ConfigError(ValueError):
@@ -114,39 +122,36 @@ def resolve_config(raw: dict) -> dict:
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("'sweep' must be an object")
-        for key in sweep:
+        for key, value in sweep.items():
             if key not in _SWEEP_KEYS:
                 raise ConfigError(f"unknown key 'sweep.{key}'")
+            _check_type(f"sweep.{key}", value, _SWEEP_KEYS[key])
         if "worker_counts" in sweep and "threshold" not in sweep:
             raise ConfigError("'sweep.worker_counts' requires 'sweep.threshold'")
         out["sweep"] = {"window": 25, **sweep}
+        if out["sweep"]["window"] < 1:
+            raise ConfigError(f"'sweep.window' must be >= 1, got {out['sweep']['window']}")
     build_run_config(out)  # validate eagerly so bad values fail before any run
     return out
 
 
-def _check_types(values: dict, fields: dict, prefix: str = "") -> None:
-    """Reject a value whose JSON type does not fit its field; a bool is
-    not an int here, though Python counts it as one."""
-    for name, value in values.items():
-        kind = fields[name].type  # the annotation's source text
-        if kind == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif kind == "float":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif kind == "bool":
-            ok = isinstance(value, bool)
-        elif kind == "str":
-            ok = isinstance(value, str)
-        else:
-            continue
-        if not ok:
-            raise ConfigError(f"'{prefix}{name}' must be of type {kind}, got {value!r}")
+def _check_type(name: str, value, kind: str) -> None:
+    """Reject a value whose JSON type does not fit kind, a field's
+    annotation text; a bool is not a number here, though Python counts
+    it as one."""
+    types = _JSON_TYPES.get(kind)
+    if types is None:
+        return
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"'{name}' must be of type {kind}, got {value!r}")
 
 
 def build_run_config(resolved: dict) -> RunConfig:
     fields = {k: v for k, v in resolved.items() if k in _RUN_FIELDS and k != "problem"}
-    _check_types(resolved["problem"], _PROBLEM_FIELDS, "problem.")
-    _check_types(fields, _RUN_FIELDS)
+    for name, value in resolved["problem"].items():
+        _check_type(f"problem.{name}", value, _PROBLEM_FIELDS[name].type)
+    for name, value in fields.items():
+        _check_type(name, value, _RUN_FIELDS[name].type)
     try:
         spec = ProblemSpec(**resolved["problem"])
         config = RunConfig(problem=spec, **fields)
@@ -186,84 +191,53 @@ def _summary(records: list[TraceRecord], config: RunConfig) -> dict:
 
 
 def _write_json(payload: dict, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def _error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
-def _run_sweeps(resolved: dict, config: RunConfig, output_dir: str, jobs: int) -> None:
-    sweep = resolved["sweep"]
-    if "worker_counts" in sweep:
-        rows = speedup_sweep(
-            config,
-            [int(n) for n in sweep["worker_counts"]],
-            threshold=float(sweep["threshold"]),
-            window=int(sweep["window"]),
-        )
-        _write_csv(
-            os.path.join(output_dir, "speedup.csv"),
-            ["n_workers", "iterations_to_threshold"],
-            [[n, it] for n, it in rows],
-        )
-
-    def one(param: str, value) -> list:
-        cfg = dataclasses.replace(config, **{param: value}, trace_path=None)
-        _, recs = run(cfg)
-        s = _summary(recs, cfg)
-        return [value, s["final_train_loss"], s["mean_grad_norm_sq"]]
-
-    for param, key, fname in (("k", "k_values", "sweep_k.csv"), ("alpha", "alphas", "sweep_alpha.csv")):
-        if key not in sweep:
-            continue
-        values = sweep[key]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            rows = list(pool.map(lambda v: one(param, v), values))
-        _write_csv(
-            os.path.join(output_dir, fname),
-            [param, "final_train_loss", "mean_grad_norm_sq"],
-            rows,
-        )
+def _run_all(configs: list[RunConfig], jobs: int) -> list[list[TraceRecord]]:
+    """Run every config, up to jobs at a time, and return the traces in
+    config order. The first failure in that order is raised; runs not yet
+    started are cancelled."""
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs))
+    try:
+        return [records for _, records in pool.map(run, configs)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        resolved = resolve_config(load_config_file(args.config))
-        if args.seed is not None:
-            resolved["seed"] = args.seed
-        if args.no_invariants:
-            resolved["check_invariants"] = False
-        resolved["trace_path"] = os.path.join(args.output, "trace.csv")
-        config = build_run_config(resolved)
-    except ConfigError as exc:
-        _error("config", str(exc))
-        return EXIT_CONFIG
-    os.makedirs(args.output, exist_ok=True)
+    resolved = resolve_config(load_config_file(args.config))
+    if args.seed is not None:
+        resolved["seed"] = args.seed
+    if args.no_invariants:
+        resolved["check_invariants"] = False
+    sweep = resolved.get("sweep", {})
+    swept = [(param, sweep[key], name) for param, key, name in _SWEEPS if key in sweep]
+    # every run is built, and so checked, before anything runs or is written
+    config = build_run_config(resolved)
+    runs = [build_run_config({**resolved, p: v}) for p, values, _ in swept for v in values]
     _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
-    try:
-        _, records = run(config)
-        if "sweep" in resolved:
-            _run_sweeps(resolved, config, args.output, args.jobs)
-    except NumericError as exc:
-        _error("numeric", str(exc))
-        return EXIT_NUMERIC
-    except InvariantViolation as exc:
-        _error("invariant", str(exc))
-        return EXIT_INVARIANT
+    traces = iter(_run_all([config, *runs], args.jobs))
+    records = next(traces)
+    simulation.write_trace(records, os.path.join(args.output, "trace.csv"))
+    for param, values, name in swept:
+        if param == "n_workers":
+            rows = [["n_workers", "iterations_to_threshold"]]
+            for n in values:
+                norms = [r.grad_norm_sq for r in next(traces)]
+                it = smoothed_threshold_iteration(norms, sweep["threshold"], sweep["window"])
+                rows.append([n, it])
+        else:
+            rows = [[param, "final_train_loss", "mean_grad_norm_sq"]]
+            for value in values:
+                s = _summary(next(traces), config)
+                rows.append([value, s["final_train_loss"], s["mean_grad_norm_sq"]])
+        write_atomic(os.path.join(args.output, name), lambda fh: csv.writer(fh).writerows(rows))
     _write_json(_summary(records, config), os.path.join(args.output, "summary.json"))
     print(f"run complete: {len(records)} iterations -> {args.output}")
     return EXIT_OK
@@ -280,52 +254,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        resolved = resolve_config(load_config_file(args.config))
-        if args.seed is not None:
-            resolved["seed"] = args.seed
-        resolved.pop("sweep", None)
-        resolved["trace_path"] = None
-        base = build_run_config(resolved)
-    except ConfigError as exc:
-        _error("config", str(exc))
-        return EXIT_CONFIG
+    resolved = resolve_config(load_config_file(args.config))
+    if args.seed is not None:
+        resolved["seed"] = args.seed
+    resolved.pop("sweep", None)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    unknown = [v for v in variants if v not in VARIANTS]
-    if not variants or unknown:
-        _error("config", f"variants must be from {VARIANTS}, got {unknown or 'none'}")
-        return EXIT_CONFIG
-    os.makedirs(args.output, exist_ok=True)
+    if not variants:
+        raise ConfigError("--variants names no variant")
+    configs = [build_run_config({**resolved, "variant": v}) for v in variants]
     _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
-
-    def one(variant: str) -> list[TraceRecord]:
-        cfg = dataclasses.replace(base, variant=variant)
-        _, records = run(cfg)
-        write_trace(records, os.path.join(args.output, f"{variant}.trace.csv"))
-        return records
-
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            traces = dict(zip(variants, pool.map(one, variants)))
-    except NumericError as exc:
-        _error("numeric", str(exc))
-        return EXIT_NUMERIC
-    except InvariantViolation as exc:
-        _error("invariant", str(exc))
-        return EXIT_INVARIANT
-
+    traces = _run_all(configs, args.jobs)
     header = ["iter"]
-    for v in variants:
-        header += [f"{v}_train_loss", f"{v}_grad_norm_sq"]
-    rows = []
-    for i in range(base.horizon):
+    for variant, records in zip(variants, traces):
+        simulation.write_trace(records, os.path.join(args.output, f"{variant}.trace.csv"))
+        header += [f"{variant}_train_loss", f"{variant}_grad_norm_sq"]
+    rows = [header]
+    for i in range(configs[0].horizon):
         row = [i + 1]
-        for v in variants:
-            rec = traces[v][i]
-            row += [format(rec.train_loss, ".17g"), format(rec.grad_norm_sq, ".17g")]
+        for records in traces:
+            row += [format(records[i].train_loss, ".17g"), format(records[i].grad_norm_sq, ".17g")]
         rows.append(row)
-    _write_csv(os.path.join(args.output, "joined.csv"), header, rows)
-    print(f"compared {len(variants)} variants over {base.horizon} iterations -> {args.output}")
+    write_atomic(os.path.join(args.output, "joined.csv"), lambda fh: csv.writer(fh).writerows(rows))
+    print(f"compared {len(variants)} variants over {configs[0].horizon} iterations -> {args.output}")
     return EXIT_OK
 
 
@@ -361,7 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        _error("config", str(exc))
+        return EXIT_CONFIG
+    except NumericError as exc:
+        _error("numeric", str(exc))
+        return EXIT_NUMERIC
+    except InvariantViolation as exc:
+        _error("invariant", str(exc))
+        return EXIT_INVARIANT
 
 
 def entry() -> None:

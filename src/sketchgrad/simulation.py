@@ -14,9 +14,8 @@ import dataclasses
 import logging
 import math
 import os
-import tempfile
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -60,16 +59,22 @@ class Problem:
     optimum_value: float | None = None
 
 
+def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> None:
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not condition_number >= 1:  # written so that NaN fails too
+        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
+    if not noise_std >= 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+
+
 def make_quadratic(
     dim: int, condition_number: float, seed: int, noise_std: float = 0.0
 ) -> Problem:
     """Diagonal quadratic 0.5 (x-x*)' A (x-x*) with eigenvalues log-spaced
     in [1, condition_number]; stochastic worker gradients add seeded
     Gaussian noise scaled by 1/sqrt(batch_size)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if condition_number < 1:
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
+    _check_quadratic(dim, condition_number, noise_std)
     rng = np.random.default_rng(seed)
     eigs = np.logspace(0.0, math.log10(condition_number), dim)
     x_star = rng.standard_normal(dim)
@@ -91,6 +96,15 @@ def make_quadratic(
     )
 
 
+def _check_logreg(n_samples: int, dim: int, n_classes: int) -> None:
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    if dim < n_classes or dim % n_classes != 0:
+        raise ValueError(f"dim must be a positive multiple of n_classes, got {dim}")
+    if n_samples < n_classes:
+        raise ValueError(f"need at least one sample per class, got {n_samples}")
+
+
 def make_logreg(
     n_samples: int, dim: int, n_classes: int, seed: int, class_spread: float = 2.0
 ) -> tuple[Problem, tuple[np.ndarray, np.ndarray]]:
@@ -100,12 +114,7 @@ def make_logreg(
     n_classes; the weight matrix is x reshaped to (n_classes, features).
     Returns the problem and the (features, labels) dataset.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if dim < n_classes or dim % n_classes != 0:
-        raise ValueError(f"dim must be a positive multiple of n_classes, got {dim}")
-    if n_samples < n_classes:
-        raise ValueError(f"need at least one sample per class, got {n_samples}")
+    _check_logreg(n_samples, dim, n_classes)
     n_features = dim // n_classes
     rng = np.random.default_rng(seed)
     centers = class_spread * rng.standard_normal((n_classes, n_features))
@@ -169,6 +178,13 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
+def _check_partition(mode: str, skew_param: float) -> None:
+    if mode not in ("iid", "label_skew"):
+        raise ValueError(f"mode must be 'iid' or 'label_skew', got {mode!r}")
+    if mode == "label_skew" and not 0.0 < skew_param <= 1.0:
+        raise ValueError(f"skew_param must be in (0, 1], got {skew_param}")
+
+
 def partition_data(
     labels: np.ndarray, n: int, mode: str, skew_param: float = 1.0, seed: int = 0
 ) -> Partition:
@@ -186,14 +202,13 @@ def partition_data(
         raise ValueError("dataset is empty")
     if not 1 <= n <= n_total:
         raise ValueError(f"need 1 <= n <= {n_total}, got {n}")
+    _check_partition(mode, skew_param)
     rng = np.random.default_rng(seed)
     shard_of = np.empty(n_total, dtype=np.int64)
     if mode == "iid":
         perm = rng.permutation(n_total)
         shard_of[perm] = np.arange(n_total) % n
-    elif mode == "label_skew":
-        if not 0.0 < skew_param <= 1.0:
-            raise ValueError(f"skew_param must be in (0, 1], got {skew_param}")
+    else:
         classes = np.unique(labels)
         pools = [rng.permutation(np.flatnonzero(labels == c)) for c in classes]
         taken = np.zeros(len(classes), dtype=np.int64)
@@ -222,8 +237,6 @@ def partition_data(
                 shard_of[pools[c][taken[c] : taken[c] + cnt]] = i
                 taken[c] += cnt
                 need -= cnt
-    else:
-        raise ValueError(f"mode must be 'iid' or 'label_skew', got {mode!r}")
     return Partition(n_shards=n, shard_of=shard_of, mode=mode, skew_param=skew_param)
 
 
@@ -237,16 +250,20 @@ class ProblemSpec:
     n_classes: int = 2
     class_spread: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.kind == "quadratic":
+            _check_quadratic(self.dim, self.condition_number, self.noise_std)
+        elif self.kind == "logreg":
+            _check_logreg(self.n_samples, self.dim, self.n_classes)
+        else:
+            raise ValueError(f"unknown problem kind {self.kind!r}")
+
 
 def build_problem(spec: ProblemSpec, seed: int) -> Problem:
     if spec.kind == "quadratic":
         return make_quadratic(spec.dim, spec.condition_number, seed, spec.noise_std)
-    if spec.kind == "logreg":
-        problem, _ = make_logreg(
-            spec.n_samples, spec.dim, spec.n_classes, seed, spec.class_spread
-        )
-        return problem
-    raise ValueError(f"unknown problem kind {spec.kind!r}")
+    problem, _ = make_logreg(spec.n_samples, spec.dim, spec.n_classes, seed, spec.class_spread)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -267,7 +284,6 @@ class RunConfig:
     partition_mode: str = "iid"
     skew_param: float = 1.0
     seed: int = 0
-    trace_path: str | None = None
     check_invariants: bool = True
 
     def __post_init__(self) -> None:
@@ -275,11 +291,13 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be a nonnegative 63-bit integer, got {self.seed}")
-        if self.problem.kind == "logreg" and self.n_workers > self.problem.n_samples:
-            raise ValueError(
-                f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
-                "every worker needs a nonempty shard"
-            )
+        if self.problem.kind == "logreg":
+            _check_partition(self.partition_mode, self.skew_param)
+            if self.n_workers > self.problem.n_samples:
+                raise ValueError(
+                    f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
+                    "every worker needs a nonempty shard"
+                )
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -408,8 +426,6 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
         )
     # bounded-gradient constant of the run, reported for reference
     logger.info("max worker gradient inf-norm over run: %.6g", grad_inf_max)
-    if config.trace_path is not None:
-        write_trace(records, config.trace_path)
     return state.x, records
 
 
@@ -419,24 +435,26 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace(records: list[TraceRecord], path: str) -> None:
-    """Write the trace CSV atomically (temp file, then rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_atomic(path: str, fill: Callable[[TextIO], object]) -> None:
+    """Write a file through fill(fh) to a temporary name beside it, then
+    rename it into place; on failure the temporary file is removed, so no
+    partial file survives."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_FIELDS)
-            for rec in records:
-                writer.writerow(
-                    [_format_cell(getattr(rec, name)) for name in TRACE_FIELDS]
-                )
+        with open(tmp, "w", newline="") as fh:
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_trace(records: list[TraceRecord], path: str) -> None:
+    """Write the trace CSV atomically, one row per record."""
+    rows = [[_format_cell(getattr(rec, name)) for name in TRACE_FIELDS] for rec in records]
+    write_atomic(path, lambda fh: csv.writer(fh).writerows([TRACE_FIELDS, *rows]))
 
 
 def smoothed_threshold_iteration(
@@ -450,23 +468,3 @@ def smoothed_threshold_iteration(
             return t
     return len(grad_norms)
 
-
-def speedup_sweep(
-    base_config: RunConfig,
-    worker_counts: list[int],
-    threshold: float,
-    window: int = 25,
-) -> list[tuple[int, int]]:
-    """Iterations to reach a grad_norm_sq target as the cluster grows.
-
-    Per-worker batch size is held fixed, so the total batch scales with
-    n; reaching the target faster with more workers is the speedup the
-    averaging provides.
-    """
-    rows = []
-    for n in worker_counts:
-        config = dataclasses.replace(base_config, n_workers=n)
-        _, records = run(config)
-        norms = [r.grad_norm_sq for r in records]
-        rows.append((n, smoothed_threshold_iteration(norms, threshold, window)))
-    return rows

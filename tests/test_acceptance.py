@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report (or `-rA` to see captured output after the run).
 """
 
+import dataclasses
 import json
 import time
 
@@ -18,7 +19,7 @@ from sketchgrad.simulation import (
     make_logreg,
     partition_data,
     run,
-    speedup_sweep,
+    smoothed_threshold_iteration,
 )
 from sketchgrad.sketch import SketchConfig
 from sketchgrad.verification import contraction_check, point_query_failure_rates
@@ -155,7 +156,11 @@ def test_criterion_6_linear_speedup_trend():
         problem=spec, variant="ga", alpha=0.02, epsilon=1e-2, horizon=1200,
         n_workers=1, k=10, p_factor=4, rows=5, cols=40, batch_size=8, seed=21,
     )
-    rows = speedup_sweep(base, [1, 2, 4, 8], threshold=3.0, window=50)
+    rows = []
+    for n in [1, 2, 4, 8]:
+        _, records = run(dataclasses.replace(base, n_workers=n))
+        norms = [r.grad_norm_sq for r in records]
+        rows.append((n, smoothed_threshold_iteration(norms, threshold=3.0, window=50)))
     iters = [it for _, it in rows]
     monotone = all(iters[j + 1] <= 1.10 * iters[j] for j in range(len(iters) - 1))
     resolved = iters[0] < base.horizon  # n=1 actually reached the target

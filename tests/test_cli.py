@@ -197,6 +197,32 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "quadratic", "dim": True}},
         {"problem": {"kind": "quadratic", "dim": 20}, "alpha": "0.1"},
         {"problem": {"kind": "quadratic", "dim": 20}, "check_invariants": 1},
+        # problem values that only the problem factories used to check
+        {"problem": {"kind": "cubic", "dim": 20}},
+        {"problem": {"kind": "logreg", "dim": 9}},
+        {"problem": {"kind": "logreg", "dim": 20, "n_classes": 1}},
+        {"problem": {"kind": "quadratic", "dim": 20, "condition_number": 0.5}},
+        {"problem": {"kind": "quadratic", "dim": 0}, "variant": "dense_sgd"},
+        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": -1.0}},
+        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": float("nan")}},
+        # partition values that only partition_data used to check
+        {"problem": {"kind": "logreg", "dim": 20}, "partition_mode": "bogus"},
+        {"problem": {"kind": "logreg", "dim": 20}, "partition_mode": "label_skew",
+         "skew_param": 5.0},
+        # malformed sweep blocks
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"k_values": 5}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"alphas": 0.1}},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": 2, "threshold": 1.0}},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": [1], "threshold": "low"}},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": [1], "threshold": 1.0, "window": 0}},
+        # sweep values get the checks of the main config
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"k_values": [0]}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"alphas": [-1.0]}},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": ["a"], "threshold": 1.0}},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):
@@ -215,11 +241,24 @@ def test_run_sweep_outputs(tmp_path):
     cfg = write_config(tmp_path / "c.json", body)
     out = tmp_path / "out"
     assert main(["run", cfg, "-o", str(out), "--jobs", "2"]) == EXIT_OK
-    speed = list(csv.reader((out / "speedup.csv").open()))
+    speed = list(csv.reader((out / "speedup.csv").read_text().splitlines()))
     assert speed[0] == ["n_workers", "iterations_to_threshold"]
     assert len(speed) == 3
-    kcsv = list(csv.reader((out / "sweep_k.csv").open()))
+    kcsv = list(csv.reader((out / "sweep_k.csv").read_text().splitlines()))
     assert kcsv[0][0] == "k" and len(kcsv) == 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_leaves_main_trace(tmp_path, jobs):
+    # a worker-count sweep must not overwrite trace.csv with one of its runs
+    plain = write_config(tmp_path / "plain.json", small_quadratic())
+    body = small_quadratic()
+    body["sweep"] = {"worker_counts": [1, 2], "threshold": 1e9}
+    swept = write_config(tmp_path / "swept.json", body)
+    assert main(["run", plain, "-o", str(tmp_path / "plain")]) == EXIT_OK
+    assert main(["run", swept, "-o", str(tmp_path / "swept"), "--jobs", jobs]) == EXIT_OK
+    trace = (tmp_path / "plain" / "trace.csv").read_bytes()
+    assert (tmp_path / "swept" / "trace.csv").read_bytes() == trace
 
 
 # ---------------------------------------------------------------- compare
@@ -241,7 +280,7 @@ def test_compare_ga_dense_full_k_traces_match(tmp_path):
     cfg = write_config(tmp_path / "c.json", body)
     out = tmp_path / "cmp"
     assert main(["compare", cfg, "--variants", "ga,dense_amsgrad", "-o", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader((out / "joined.csv").open()))
+    rows = list(csv.DictReader((out / "joined.csv").read_text().splitlines()))
     assert len(rows) == 20
     for row in rows:
         ga = float(row["ga_train_loss"])

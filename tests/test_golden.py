@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from sketchgrad.simulation import ProblemSpec, RunConfig, run
+from sketchgrad.simulation import ProblemSpec, RunConfig, run, write_trace
 
 BASE = {
     "quadratic": RunConfig(
@@ -61,6 +61,6 @@ GOLDEN = {
 @pytest.mark.parametrize("problem,variant", sorted(GOLDEN))
 def test_trace_matches_golden_hash(tmp_path, problem, variant):
     path = tmp_path / "trace.csv"
-    config = dataclasses.replace(BASE[problem], variant=variant, trace_path=str(path))
-    run(config)
+    config = dataclasses.replace(BASE[problem], variant=variant)
+    write_trace(run(config)[1], str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(problem, variant)]

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -15,7 +16,6 @@ from sketchgrad.simulation import (
     partition_data,
     run,
     smoothed_threshold_iteration,
-    speedup_sweep,
     write_trace,
 )
 
@@ -294,9 +294,19 @@ def test_smoothed_threshold_iteration():
     assert smoothed_threshold_iteration([4.0, 4.0], threshold=1.0, window=5) == 2
 
 
+def speedup_rows(base, worker_counts, threshold):
+    """(n, iterations to threshold) per worker count, as `run`'s
+    worker_counts sweep computes them."""
+    rows = []
+    for n in worker_counts:
+        _, records = run(dataclasses.replace(base, n_workers=n))
+        rows.append((n, smoothed_threshold_iteration([r.grad_norm_sq for r in records], threshold)))
+    return rows
+
+
 def test_speedup_sweep_single_row():
     cfg = quad_config(horizon=20)
-    rows = speedup_sweep(cfg, [1], threshold=1e12)
+    rows = speedup_rows(cfg, [1], threshold=1e12)
     assert len(rows) == 1 and rows[0][0] == 1 and rows[0][1] == 1
 
 
@@ -304,6 +314,6 @@ def test_speedup_sweep_noise_free_identical_across_n():
     # without gradient noise every worker computes the same gradient and
     # the n-independent sgd schedule reproduces the same trajectory
     cfg = quad_config(variant="dense_sgd", horizon=60, alpha=0.5)
-    rows = speedup_sweep(cfg, [1, 2, 4, 8], threshold=5.0)
+    rows = speedup_rows(cfg, [1, 2, 4, 8], threshold=5.0)
     iters = {it for _, it in rows}
     assert len(iters) == 1 and iters != {60}
