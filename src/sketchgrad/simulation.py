@@ -44,15 +44,19 @@ class Problem:
     """A differentiable objective.
 
     ``loss(x, batch)`` and ``gradient(x, batch)`` take an optional array
-    of sample indices; ``batch=None`` means the full objective. Problems
-    with ``n_samples == 0`` have no dataset; their stochasticity comes
-    from additive gradient noise drawn by the harness with ``noise_std``.
+    of sample indices; ``batch=None`` means the full objective.
+    ``evaluate(x)`` returns ``(loss(x, None), gradient(x, None))``, bit
+    for bit, from one shared pass: for logistic regression it computes
+    the logits over the whole dataset once, not twice. Problems with
+    ``n_samples == 0`` have no dataset; their stochasticity comes from
+    additive gradient noise drawn by the harness with ``noise_std``.
     """
 
     name: str
     dim: int
     loss: Callable[[np.ndarray, np.ndarray | None], float]
     gradient: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     n_samples: int = 0
     labels: np.ndarray | None = None
     noise_std: float = 0.0
@@ -62,10 +66,11 @@ class Problem:
 def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> None:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if not condition_number >= 1:  # written so that NaN fails too
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
-    if not noise_std >= 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    # written so that NaN fails too
+    if not 1 <= condition_number < math.inf:
+        raise ValueError(f"condition_number must be finite and >= 1, got {condition_number}")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 def make_quadratic(
@@ -79,9 +84,13 @@ def make_quadratic(
     eigs = np.logspace(0.0, math.log10(condition_number), dim)
     x_star = rng.standard_normal(dim)
 
-    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         r = x - x_star
-        return float(0.5 * np.dot(r, eigs * r))
+        g = eigs * r
+        return float(0.5 * np.dot(r, g)), g
+
+    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
+        return evaluate(x)[0]
 
     def gradient(x: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
         return eigs * (x - x_star)
@@ -91,12 +100,15 @@ def make_quadratic(
         dim=dim,
         loss=loss,
         gradient=gradient,
+        evaluate=evaluate,
         noise_std=noise_std,
         optimum_value=0.0,
     )
 
 
-def _check_logreg(n_samples: int, dim: int, n_classes: int) -> None:
+def _check_logreg(n_samples: int, dim: int, n_classes: int, class_spread: float) -> None:
+    if not math.isfinite(class_spread):
+        raise ValueError(f"class_spread must be finite, got {class_spread}")
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     if dim < n_classes or dim % n_classes != 0:
@@ -114,7 +126,7 @@ def make_logreg(
     n_classes; the weight matrix is x reshaped to (n_classes, features).
     Returns the problem and the (features, labels) dataset.
     """
-    _check_logreg(n_samples, dim, n_classes)
+    _check_logreg(n_samples, dim, n_classes, class_spread)
     n_features = dim // n_classes
     rng = np.random.default_rng(seed)
     centers = class_spread * rng.standard_normal((n_classes, n_features))
@@ -122,32 +134,41 @@ def make_logreg(
     rng.shuffle(labels)
     features = centers[labels] + rng.standard_normal((n_samples, n_features))
 
-    def _select(batch: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        if batch is None:
-            return features, labels
-        return features[batch], labels[batch]
-
-    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
-        xb, yb = _select(batch)
+    def _softmax(x: np.ndarray, batch: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The batch's features and labels, its max-shifted logits, their
+        exps and the exps' row sums; batch None is the whole dataset."""
+        xb, yb = (features, labels) if batch is None else (features[batch], labels[batch])
         logits = xb @ x.reshape(n_classes, n_features).T
         logits = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(logits), axis=1))
-        return float(np.mean(log_norm - logits[np.arange(len(yb)), yb]))
+        exps = np.exp(logits)
+        return xb, yb, logits, exps, exps.sum(axis=1)
 
-    def gradient(x: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
-        xb, yb = _select(batch)
-        logits = xb @ x.reshape(n_classes, n_features).T
-        logits = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
+    def _loss(yb: np.ndarray, logits: np.ndarray, sums: np.ndarray) -> float:
+        return float(np.mean(np.log(sums) - logits[np.arange(len(yb)), yb]))
+
+    def _gradient(xb: np.ndarray, yb: np.ndarray, exps: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
         probs[np.arange(len(yb)), yb] -= 1.0
         return (probs.T @ xb / len(yb)).reshape(dim)
+
+    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
+        _, yb, logits, _, sums = _softmax(x, batch)
+        return _loss(yb, logits, sums)
+
+    def gradient(x: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
+        xb, yb, _, exps, sums = _softmax(x, batch)
+        return _gradient(xb, yb, exps, sums)
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        xb, yb, logits, exps, sums = _softmax(x, None)
+        return _loss(yb, logits, sums), _gradient(xb, yb, exps, sums)
 
     problem = Problem(
         name="logreg",
         dim=dim,
         loss=loss,
         gradient=gradient,
+        evaluate=evaluate,
         n_samples=n_samples,
         labels=labels,
     )
@@ -254,7 +275,7 @@ class ProblemSpec:
         if self.kind == "quadratic":
             _check_quadratic(self.dim, self.condition_number, self.noise_std)
         elif self.kind == "logreg":
-            _check_logreg(self.n_samples, self.dim, self.n_classes)
+            _check_logreg(self.n_samples, self.dim, self.n_classes, self.class_spread)
         else:
             raise ValueError(f"unknown problem kind {self.kind!r}")
 
@@ -401,8 +422,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
         check = config.check_invariants and state.v_hat is not None
         prev_v_hat = state.v_hat.copy() if check else None
         diag = step(state, grads, params, proto, t)
-        full_grad = problem.gradient(state.x, None)
-        loss = problem.loss(state.x, None)
+        loss, full_grad = problem.evaluate(state.x)
         grad_norm_sq = float(np.dot(full_grad, full_grad))
         for name, value in (("iterate", state.x), ("train_loss", loss), ("grad_norm_sq", grad_norm_sq)):
             if not np.all(np.isfinite(value)):

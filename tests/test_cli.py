@@ -223,6 +223,10 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"alphas": [-1.0]}},
         {"problem": {"kind": "quadratic", "dim": 20},
          "sweep": {"worker_counts": ["a"], "threshold": 1.0}},
+        # non-finite problem values (JSON 1e400) once ran into a numeric abort
+        {"problem": {"kind": "quadratic", "dim": 20, "condition_number": float("inf")}},
+        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": float("inf")}},
+        {"problem": {"kind": "logreg", "dim": 20, "class_spread": float("inf")}},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):

@@ -1,8 +1,10 @@
-"""Property tests for the sparse sketch operator and the top-m selection.
+"""Property tests for the sparse sketch operator, the top-m selection
+and the fused full-batch evaluation.
 
 Each property compares the fast path against a plain reference: a
 sorted() ranking, a loop of accumulate(), a worker-order sum of
-per-worker sketches, and np.median over the rows.
+per-worker sketches, np.median over the rows, and the separate full-batch
+loss and gradient.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchgrad.compressors import ProtocolConfig, _merged_sketch, top_k
+from sketchgrad.simulation import make_logreg, make_quadratic
 from sketchgrad.sketch import (
     CountSketch,
     SketchConfig,
@@ -134,3 +137,47 @@ def test_estimate_all_matches_median_reference(cfg, data):
 def test_sketch_rows_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         sketch_rows(SketchConfig(rows=2, cols=4, seed=1, dim=5), bad)
+
+
+def assert_evaluate_is_loss_and_gradient(problem, x):
+    loss, grad = problem.evaluate(x)
+    assert loss == problem.loss(x, None)
+    assert np.array_equal(bits(grad), bits(problem.gradient(x, None)))
+
+
+@SETTINGS
+@given(st.integers(1, 30), st.floats(1.0, 1e6), st.integers(0, 2**32 - 1), st.data())
+def test_quadratic_evaluate_is_loss_and_gradient(dim, condition_number, seed, data):
+    problem = make_quadratic(dim, condition_number, seed)
+    x = np.array(data.draw(st.lists(values, min_size=dim, max_size=dim)))
+    assert_evaluate_is_loss_and_gradient(problem, x)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 30.0, 300.0, 3000.0]),
+    st.data(),
+)
+def test_logreg_evaluate_is_loss_and_gradient(n_classes, n_features, extra, seed, scale, data):
+    dim = n_classes * n_features
+    problem, _ = make_logreg(n_classes + extra, dim, n_classes, seed)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    x = scale * np.array(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    assert_evaluate_is_loss_and_gradient(problem, x)
+
+
+def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
+    # scale x so that the median sample's shifted losing logit is -726:
+    # exp(-726) ~ 1e-315 is below the smallest normal float64 (~exp(-708))
+    problem, (features, _) = make_logreg(200, 40, 2, seed=5)
+    w = np.random.default_rng(6).standard_normal(40)
+    margins = np.abs(features @ (w[20:] - w[:20]))
+    x = (726.0 / np.median(margins)) * w
+    logits = features @ x.reshape(2, 20).T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    assert np.any((probs > 0) & (probs < np.finfo(float).tiny))
+    assert_evaluate_is_loss_and_gradient(problem, x)

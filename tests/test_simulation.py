@@ -67,6 +67,10 @@ def test_quadratic_validation():
         make_quadratic(0, 10.0, 0)
     with pytest.raises(ValueError):
         make_quadratic(5, 0.5, 0)
+    with pytest.raises(ValueError):
+        make_quadratic(5, math.inf, 0)
+    with pytest.raises(ValueError):
+        make_quadratic(5, 10.0, 0, noise_std=math.inf)
 
 
 def test_logreg_uniform_loss_at_zero():
@@ -108,6 +112,8 @@ def test_logreg_validation():
         make_logreg(10, dim=4, n_classes=1, seed=0)
     with pytest.raises(ValueError):
         make_logreg(1, dim=4, n_classes=2, seed=0)
+    with pytest.raises(ValueError):
+        make_logreg(10, dim=4, n_classes=2, seed=0, class_spread=math.nan)
 
 
 # --------------------------------------------------------------- partition
@@ -242,6 +248,47 @@ def test_run_invariant_violation_aborts(monkeypatch):
     cfg = quad_config(variant="ga", horizon=10)
     with pytest.raises(InvariantViolation, match="shadow identity"):
         run(cfg)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logreg"])
+def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
+    # n worker gradients and one fused evaluate per iteration; the trace
+    # must not go back to separate full-batch loss and gradient calls
+    import sketchgrad.simulation as sim
+
+    calls = {"worker_gradient": 0, "full_gradient": 0, "loss": 0, "evaluate": 0}
+    build = sim.build_problem
+
+    def counting_build(spec, seed):
+        problem = build(spec, seed)
+        gradient, loss, evaluate = problem.gradient, problem.loss, problem.evaluate
+
+        def counted_gradient(x, batch=None):
+            # quadratic workers have no dataset and pass batch None
+            full = batch is None and problem.n_samples > 0
+            calls["full_gradient" if full else "worker_gradient"] += 1
+            return gradient(x, batch)
+
+        def counted_loss(x, batch=None):
+            calls["loss"] += 1
+            return loss(x, batch)
+
+        def counted_evaluate(x):
+            calls["evaluate"] += 1
+            return evaluate(x)
+
+        problem.gradient, problem.loss, problem.evaluate = (
+            counted_gradient, counted_loss, counted_evaluate)
+        return problem
+
+    monkeypatch.setattr(sim, "build_problem", counting_build)
+    spec = (ProblemSpec(kind="quadratic", dim=12, condition_number=5.0, noise_std=1.0)
+            if kind == "quadratic" else ProblemSpec(kind="logreg", dim=12, n_classes=3))
+    cfg = RunConfig(problem=spec, variant="ga", horizon=7, n_workers=3, k=3,
+                    p_factor=2, rows=3, cols=8, batch_size=4, seed=2)
+    _, records = run(cfg)
+    assert len(records) == 7
+    assert calls == {"worker_gradient": 3 * 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
 
 
 def test_dense_amsgrad_loss_decreasing_after_burn_in():
