@@ -17,13 +17,14 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import simulation  # write_trace is looked up here at call time, so wrappers apply
-from .optimizers import SKETCHED, VARIANTS, NumericError
+from .optimizers import NumericError
 from .simulation import (
     InvariantViolation,
     ProblemSpec,
@@ -70,10 +71,15 @@ def _reject_duplicates(pairs):
     return dict(pairs)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh, object_pairs_hook=_reject_duplicates)
+            raw = json.load(fh, object_pairs_hook=_reject_duplicates,
+                            parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -131,6 +137,8 @@ def resolve_config(raw: dict) -> dict:
         out["sweep"] = {"window": 25, **sweep}
         if out["sweep"]["window"] < 1:
             raise ConfigError(f"'sweep.window' must be >= 1, got {out['sweep']['window']}")
+        if "threshold" in sweep and not -math.inf < sweep["threshold"] < math.inf:
+            raise ConfigError(f"'sweep.threshold' must be finite, got {sweep['threshold']}")
     build_run_config(out)  # validate eagerly so bad values fail before any run
     return out
 
@@ -154,28 +162,12 @@ def build_run_config(resolved: dict) -> RunConfig:
         _check_type(name, value, _RUN_FIELDS[name].type)
     try:
         spec = ProblemSpec(**resolved["problem"])
-        config = RunConfig(problem=spec, **fields)
-        if config.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {config.variant!r}")
-        config.hyper()
-        if config.variant in SKETCHED:
-            config.protocol(spec.dim)
-        return config
+        return RunConfig(problem=spec, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _summary(records: list[TraceRecord], config: RunConfig) -> dict:
-    if not records:
-        return {
-            "variant": config.variant,
-            "dim": config.problem.dim,
-            "iterations": 0,
-            "final_train_loss": None,
-            "mean_grad_norm_sq": None,
-            "total_scalars": 0,
-            "compression_rate": None,
-        }
     total = sum(
         config.n_workers * r.upstream_scalars + r.downstream_scalars for r in records
     )
@@ -183,10 +175,10 @@ def _summary(records: list[TraceRecord], config: RunConfig) -> dict:
         "variant": config.variant,
         "dim": config.problem.dim,
         "iterations": len(records),
-        "final_train_loss": records[-1].train_loss,
-        "mean_grad_norm_sq": float(np.mean([r.grad_norm_sq for r in records])),
+        "final_train_loss": records[-1].train_loss if records else None,
+        "mean_grad_norm_sq": float(np.mean([r.grad_norm_sq for r in records])) if records else None,
         "total_scalars": total,
-        "compression_rate": records[-1].compression_rate,
+        "compression_rate": records[-1].compression_rate if records else None,
     }
 
 

@@ -1,7 +1,7 @@
 """Gradient compression operators.
 
-Exact top-k, the l1-scaled sign compressor, and the two-round sketched
-top-k aggregation used by the distributed optimizers.
+The l1-scaled sign compressor and the two-round sketched top-k
+aggregation used by the distributed optimizers.
 ``sketched_topk_aggregate(payloads, cfg, v_hat=None)`` takes the
 workers' payloads as the rows of one ``(n, dim)`` matrix: all rows are
 sketched in one sparse product, the server merges the sketches and
@@ -95,20 +95,7 @@ class AggregationResult:
     the 1/sqrt(v_hat) scaling."""
 
     global_update: SparseUpdate
-    chosen_indices: np.ndarray
     candidate_indices: np.ndarray
-    upstream_scalars: int
-    downstream_scalars: int
-
-
-def top_k(vector: np.ndarray, k: int) -> SparseUpdate:
-    """The k largest-magnitude coordinates, ties broken by lower index."""
-    vector = np.asarray(vector, dtype=np.float64)
-    d = vector.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    idx = np.sort(top_m(np.abs(vector), k))
-    return SparseUpdate(dim=d, indices=idx, values=vector[idx])
 
 
 def sign_compress(vector: np.ndarray) -> np.ndarray:
@@ -175,13 +162,9 @@ def sketched_topk_aggregate(
     order = np.lexsort((candidates, -scores))
     pos = order[: cfg.k]
     pos = pos[np.argsort(candidates[pos], kind="stable")]
-    chosen = candidates[pos]
     return AggregationResult(
-        global_update=SparseUpdate(dim=cfg.sketch.dim, indices=chosen, values=mean_vals[pos]),
-        chosen_indices=chosen,
+        global_update=SparseUpdate(cfg.sketch.dim, candidates[pos], mean_vals[pos]),
         candidate_indices=candidates,
-        upstream_scalars=cfg.upstream_scalars,
-        downstream_scalars=cfg.downstream_scalars,
     )
 
 

@@ -55,12 +55,13 @@ class HyperParams:
     n_workers: int
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        # written so that NaN and inf fail too
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError(f"beta1, beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.n_workers < 1:
@@ -225,7 +226,7 @@ def step(
     del direction  # PA's (n, dim) temporary is not held through the aggregation
 
     agg = sketched_topk_aggregate(payloads, cfg, v_hat=state.v_hat if variant == "ga" else None)
-    chosen = agg.chosen_indices
+    chosen = agg.global_update.indices
     target = sequential_mean(payloads)
     payloads[:, chosen] = 0.0  # the error keeps what was not sent
     state.last_indices = chosen
@@ -247,6 +248,6 @@ def step(
         topk_overlap=overlap,
         shadow_gap=gap,
         # GA's h payload adds k exact gradient coordinates upstream
-        upstream_scalars=agg.upstream_scalars + (cfg.k if variant == "ga" else 0),
-        downstream_scalars=agg.downstream_scalars,
+        upstream_scalars=cfg.upstream_scalars + (cfg.k if variant == "ga" else 0),
+        downstream_scalars=cfg.downstream_scalars,
     )

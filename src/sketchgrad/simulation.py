@@ -22,6 +22,7 @@ import numpy as np
 from .compressors import ProtocolConfig, compression_rate
 from .optimizers import (
     SKETCHED,
+    VARIANTS,
     HyperParams,
     NumericError,
     OptimizerState,
@@ -60,7 +61,6 @@ class Problem:
     n_samples: int = 0
     labels: np.ndarray | None = None
     noise_std: float = 0.0
-    optimum_value: float | None = None
 
 
 def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> None:
@@ -102,7 +102,6 @@ def make_quadratic(
         gradient=gradient,
         evaluate=evaluate,
         noise_std=noise_std,
-        optimum_value=0.0,
     )
 
 
@@ -175,19 +174,6 @@ def make_logreg(
     return problem, (features, labels)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of every sample to exactly one worker shard."""
-
-    n_shards: int
-    shard_of: np.ndarray
-    mode: str
-    skew_param: float
-
-    def shards(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.shard_of == i) for i in range(self.n_shards)]
-
-
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
     """Round nonnegative fractions summing to ~total into integers summing
     to exactly total; leftover units go to the largest remainders."""
@@ -208,8 +194,9 @@ def _check_partition(mode: str, skew_param: float) -> None:
 
 def partition_data(
     labels: np.ndarray, n: int, mode: str, skew_param: float = 1.0, seed: int = 0
-) -> Partition:
-    """Split sample indices across n workers.
+) -> list[np.ndarray]:
+    """Split sample indices across n workers; shard i holds worker i's
+    sample indices in ascending order.
 
     iid: seeded shuffle then round-robin. label_skew: each worker draws
     its own class mix from Dirichlet(skew_param) and fills an equal
@@ -258,7 +245,7 @@ def partition_data(
                 shard_of[pools[c][taken[c] : taken[c] + cnt]] = i
                 taken[c] += cnt
                 need -= cnt
-    return Partition(n_shards=n, shard_of=shard_of, mode=mode, skew_param=skew_param)
+    return [np.flatnonzero(shard_of == i) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -319,6 +306,12 @@ class RunConfig:
                     f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
                     "every worker needs a nonempty shard"
                 )
+        # the checks of the objects run builds from this config
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        self.hyper()
+        if self.variant in SKETCHED:
+            self.protocol(self.problem.dim)
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -404,10 +397,9 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     problem = build_problem(config.problem, config.seed)
     shards = None
     if problem.n_samples > 0:
-        partition = partition_data(
+        shards = partition_data(
             problem.labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
         )
-        shards = partition.shards()
     params = config.hyper()
     proto = config.protocol(problem.dim) if config.variant in SKETCHED else None
     state = OptimizerState.initial(

@@ -165,9 +165,6 @@ class CountSketch:
         self.config = config
         self.table = table
 
-    def copy(self) -> "CountSketch":
-        return CountSketch(self.config, self.table.copy())
-
     def accumulate(self, index: int, value: float) -> "CountSketch":
         """Add one (index, value) update; touches exactly one cell per row.
 
@@ -206,8 +203,6 @@ class CountSketch:
         Queries all dim coordinates; at the vector sizes this library
         targets that is cheaper than maintaining a heap during insertion.
         """
-        if not 1 <= m <= self.config.dim:
-            raise ValueError(f"m must be in [1, {self.config.dim}], got {m}")
         return top_m(np.abs(self.estimate_all()), m)
 
     def to_bytes(self) -> bytes:
@@ -234,22 +229,19 @@ class CountSketch:
 
 
 def sketch_vector(config: SketchConfig, vector: np.ndarray) -> CountSketch:
-    """Sketch a dense vector as S @ vector; bit-identical to a fresh sketch
-    with accumulate applied to every nonzero coordinate, in index order
-    (a zero coordinate adds +/-0.0, which leaves every cell unchanged)."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (config.dim,):
-        raise ValueError(f"vector length {vector.shape} does not match dim {config.dim}")
-    if not np.all(np.isfinite(vector)):
-        raise ValueError("vector must be finite")
-    return CountSketch(config, (_operator(config) @ vector).reshape(config.rows, config.cols))
+    """Sketch a dense vector as S @ vector, by sketch_rows on one row;
+    bit-identical to a fresh sketch with accumulate applied to every
+    nonzero coordinate, in index order (a zero coordinate adds +/-0.0,
+    which leaves every cell unchanged)."""
+    table = sketch_rows(config, np.asarray(vector)[None])
+    return CountSketch(config, table.reshape(config.rows, config.cols))
 
 
 def sketch_rows(config: SketchConfig, vectors: np.ndarray) -> np.ndarray:
     """Sketch every row of an (n, dim) matrix with one S @ vectors.T.
 
     Returns the (rows*cols, n) matrix whose column w is the row-major
-    table of sketch_vector(config, vectors[w]), bit for bit.
+    table of row w's sketch.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != config.dim:

@@ -19,10 +19,9 @@ from .compressors import (
     sequential_mean,
     sign_compress,
     sketched_topk_aggregate,
-    top_k,
 )
 from .optimizers import HyperParams, OptimizerState, step, step_size
-from .sketch import CountSketch, SketchConfig, sketch_vector
+from .sketch import CountSketch, SketchConfig, sketch_vector, top_m
 from .simulation import ProblemSpec, RunConfig, run
 
 DELTA = 0.05  # failure-probability budget shared by the probabilistic checks
@@ -220,7 +219,7 @@ def _contraction_trial(
     lemma = err_sq <= (1.0 - k / d) * tgt_sq
     safety = math.sqrt(err_sq) <= math.sqrt(tgt_sq)
     # the workers' exact values on the chosen set, averaged in worker order
-    worker_mean = sequential_mean(payloads[:, agg.chosen_indices])
+    worker_mean = sequential_mean(payloads[:, agg.global_update.indices])
     consistent = np.array_equal(worker_mean, agg.global_update.values)
     return lemma, safety, consistent
 
@@ -241,16 +240,14 @@ def compressor_suite(seed: int = 0) -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(seed)
 
-    # top_k against a python sorted() oracle
+    # top-k selection, largest first, against a python sorted() oracle
     ok = True
     for _ in range(200):
         d = int(rng.integers(1, 40))
         v = np.round(rng.standard_normal(d), 1)  # rounding forces ties
         k = int(rng.integers(1, d + 1))
-        got = top_k(v, k)
         oracle = sorted(range(d), key=lambda i: (-abs(v[i]), i))[:k]
-        ok &= sorted(oracle) == got.indices.tolist()
-        ok &= np.array_equal(v[np.sort(oracle)], got.values)
+        ok &= oracle == top_m(np.abs(v), k).tolist()
     results.append(CheckResult("compressor", "top_k_vs_oracle", ok, float(ok), 1.0))
 
     # sign compressor contract on random vectors
@@ -296,8 +293,9 @@ def compressor_suite(seed: int = 0) -> list[CheckResult]:
         k=10, p_factor=4, sketch=SketchConfig(rows=5, cols=50, seed=seed, dim=d_small)
     )
     agg = sketched_topk_aggregate([rng.standard_normal(d_small) for _ in range(3)], cfg)
-    expect_up = 5 * 50 + 4 * 10
-    acct = agg.upstream_scalars == expect_up and agg.downstream_scalars == 10
+    sent_up = cfg.sketch.size + agg.candidate_indices.size
+    acct = cfg.upstream_scalars == sent_up == 5 * 50 + 4 * 10
+    acct &= cfg.downstream_scalars == agg.global_update.indices.size == 10
     results.append(CheckResult("compressor", "accounting", acct, float(acct), 1.0,
                                "upstream r*c + P*k, downstream k"))
     return results

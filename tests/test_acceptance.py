@@ -44,7 +44,7 @@ def test_criterion_1_ga_matches_dense_oracle():
     t0 = time.time()
     d, n, T = 50, 4, 100
     problem, (_, labels) = make_logreg(400, dim=d, n_classes=2, seed=101)
-    shards = partition_data(labels, n, "iid", seed=101).shards()
+    shards = partition_data(labels, n, "iid", seed=101)
     hp = HyperParams(alpha=0.05, beta1=0.9, beta2=0.999, epsilon=100.0, horizon=T, n_workers=n)
     cfg = ProtocolConfig(k=d, p_factor=1, sketch=SketchConfig(rows=5, cols=128, seed=101, dim=d))
     ga = OptimizerState.initial("ga", np.zeros(d), hp)

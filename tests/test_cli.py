@@ -14,8 +14,12 @@ from sketchgrad.cli import (
 )
 
 
+# written unquoted: a JSON number too large for a float, which parses as inf
+HUGE = "1e400"
+
+
 def write_config(path, body):
-    path.write_text(json.dumps(body))
+    path.write_text(json.dumps(body).replace(f'"{HUGE}"', HUGE))
     return str(path)
 
 
@@ -224,9 +228,19 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "quadratic", "dim": 20},
          "sweep": {"worker_counts": ["a"], "threshold": 1.0}},
         # non-finite problem values (JSON 1e400) once ran into a numeric abort
-        {"problem": {"kind": "quadratic", "dim": 20, "condition_number": float("inf")}},
-        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": float("inf")}},
-        {"problem": {"kind": "logreg", "dim": 20, "class_spread": float("inf")}},
+        {"problem": {"kind": "quadratic", "dim": 20, "condition_number": HUGE}},
+        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": HUGE}},
+        {"problem": {"kind": "logreg", "dim": 20, "class_spread": HUGE}},
+        # the non-standard NaN and Infinity literals, and non-finite numbers
+        {"problem": {"kind": "quadratic", "dim": 20}, "alpha": float("nan")},
+        {"problem": {"kind": "quadratic", "dim": 20}, "alpha": HUGE},
+        {"problem": {"kind": "quadratic", "dim": 20}, "epsilon": float("nan")},
+        {"problem": {"kind": "quadratic", "dim": 20}, "epsilon": float("inf")},
+        {"problem": {"kind": "quadratic", "dim": 20}, "epsilon": HUGE},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"threshold": float("nan"), "worker_counts": [1, 2]}},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"threshold": HUGE, "worker_counts": [1, 2]}},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):

@@ -8,7 +8,6 @@ from sketchgrad.compressors import (
     sequential_mean,
     sign_compress,
     sketched_topk_aggregate,
-    top_k,
 )
 from sketchgrad.sketch import SketchConfig
 
@@ -38,38 +37,6 @@ def test_densify():
     u = SparseUpdate(dim=4, indices=[1, 3], values=[5.0, -2.0])
     assert u.densify().tolist() == [0.0, 5.0, 0.0, -2.0]
     assert np.count_nonzero(u.densify()) == 2
-
-
-# ------------------------------------------------------------------ top_k
-
-
-def test_top_k_examples():
-    u = top_k(np.array([3.0, -5.0, 1.0]), 1)
-    assert u.indices.tolist() == [1] and u.values.tolist() == [-5.0]
-    x = np.array([0.5, -1.5, 2.5])
-    full = top_k(x, 3)
-    assert np.array_equal(full.densify(), x)
-    tie = top_k(np.array([2.0, -2.0, 0.5]), 1)
-    assert tie.indices.tolist() == [0] and tie.values.tolist() == [2.0]
-
-
-def test_top_k_against_sorted_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        d = int(rng.integers(1, 30))
-        v = np.round(rng.standard_normal(d), 1)
-        k = int(rng.integers(1, d + 1))
-        got = top_k(v, k)
-        oracle = sorted(range(d), key=lambda i: (-abs(v[i]), i))[:k]
-        assert got.indices.tolist() == sorted(oracle)
-        assert np.array_equal(got.values, v[got.indices])
-
-
-def test_top_k_range_error():
-    with pytest.raises(ValueError):
-        top_k(np.ones(3), 0)
-    with pytest.raises(ValueError):
-        top_k(np.ones(3), 4)
 
 
 # ----------------------------------------------------------- sign_compress
@@ -145,12 +112,11 @@ def test_aggregate_structure_and_accounting():
     cfg = proto(d, k=5, p=3, rows=4, cols=32)
     vecs = [np.random.default_rng(s).standard_normal(d) for s in range(4)]
     res = sketched_topk_aggregate(vecs, cfg)
-    assert len(res.chosen_indices) == 5
+    assert len(res.global_update.indices) == 5
     assert len(res.candidate_indices) == 15
-    assert set(res.chosen_indices) <= set(res.candidate_indices)
-    assert res.upstream_scalars == 4 * 32 + 15
-    assert res.downstream_scalars == 5
-    assert np.array_equal(res.chosen_indices, res.global_update.indices)
+    assert set(res.global_update.indices) <= set(res.candidate_indices)
+    assert cfg.upstream_scalars == 4 * 32 + 15
+    assert cfg.downstream_scalars == 5
 
 
 def test_aggregate_mean_consistency_exact():
@@ -159,7 +125,7 @@ def test_aggregate_mean_consistency_exact():
     vecs = [np.random.default_rng(100 + s).standard_normal(d) for s in range(5)]
     payloads = np.array(vecs)
     res = sketched_topk_aggregate(payloads, cfg)
-    oracle = sequential_mean(payloads[:, res.chosen_indices])
+    oracle = sequential_mean(payloads[:, res.global_update.indices])
     assert np.array_equal(oracle, res.global_update.values)
 
 
@@ -187,7 +153,7 @@ def test_aggregate_planted_recovery_vs_bruteforce():
         res = sketched_topk_aggregate(vecs, cfg)
         mean = sequential_mean(vecs)
         oracle = sorted(range(d), key=lambda i: (-abs(mean[i]), i))[:k]
-        hits += res.chosen_indices.tolist() == sorted(oracle)
+        hits += res.global_update.indices.tolist() == sorted(oracle)
     assert hits / trials >= 0.95
 
 
@@ -197,7 +163,7 @@ def test_scaled_aggregate_unit_vhat_matches_unscaled():
     vecs = [np.random.default_rng(200 + s).standard_normal(d) for s in range(3)]
     plain = sketched_topk_aggregate(vecs, cfg)
     scaled = sketched_topk_aggregate(vecs, cfg, v_hat=np.ones(d))
-    assert np.array_equal(plain.chosen_indices, scaled.chosen_indices)
+    assert np.array_equal(plain.global_update.indices, scaled.global_update.indices)
     assert np.array_equal(plain.global_update.values, scaled.global_update.values)
     assert np.array_equal(plain.candidate_indices, scaled.candidate_indices)
 
@@ -211,10 +177,10 @@ def test_scaled_aggregate_hand_case():
     )
     vecs = [np.array([3.0, 2.0]), np.array([3.0, 2.0])]
     res = sketched_topk_aggregate(vecs, cfg, v_hat=np.array([100.0, 1.0]))
-    assert res.chosen_indices.tolist() == [1]
+    assert res.global_update.indices.tolist() == [1]
     assert res.global_update.values.tolist() == [2.0]  # unscaled mean value
     plain = sketched_topk_aggregate(vecs, cfg)
-    assert plain.chosen_indices.tolist() == [0]
+    assert plain.global_update.indices.tolist() == [0]
 
 
 def test_scaled_aggregate_planted_recovery_vs_scaled_oracle():
@@ -232,7 +198,7 @@ def test_scaled_aggregate_planted_recovery_vs_scaled_oracle():
         res = sketched_topk_aggregate(vecs, cfg, v_hat=v_hat)
         mean = sequential_mean(vecs) / np.sqrt(v_hat)
         oracle = sorted(range(d), key=lambda i: (-abs(mean[i]), i))[:k]
-        hits += res.chosen_indices.tolist() == sorted(oracle)
+        hits += res.global_update.indices.tolist() == sorted(oracle)
     assert hits / trials >= 0.95
 
 

@@ -39,14 +39,15 @@ def test_step_size_examples():
 
 
 def test_hyperparams_validation():
-    with pytest.raises(ValueError):
-        hp(alpha=0.0)
+    for value in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hp(alpha=value)
+        with pytest.raises(ValueError):
+            hp(epsilon=value)
     with pytest.raises(ValueError):
         hp(beta1=1.0)
     with pytest.raises(ValueError):
         hp(beta2=-0.1)
-    with pytest.raises(ValueError):
-        hp(epsilon=0.0)
     with pytest.raises(ValueError):
         hp(n_workers=0)
 

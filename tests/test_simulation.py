@@ -43,7 +43,6 @@ def test_quadratic_at_optimum():
     x_star = x - g / np.logspace(0, math.log10(25.0), 10)  # invert the diagonal
     assert prob.loss(x_star, None) == pytest.approx(0.0, abs=1e-20)
     assert np.allclose(prob.gradient(x_star, None), 0.0, atol=1e-12)
-    assert prob.optimum_value == 0.0
 
 
 def test_quadratic_identity_condition():
@@ -122,24 +121,23 @@ def test_logreg_validation():
 def test_partition_single_worker():
     labels = np.array([0, 1, 0, 1, 2])
     for mode in ("iid", "label_skew"):
-        part = partition_data(labels, 1, mode, skew_param=0.5, seed=0)
-        assert np.all(part.shard_of == 0)
+        shards = partition_data(labels, 1, mode, skew_param=0.5, seed=0)
+        assert len(shards) == 1 and shards[0].tolist() == list(range(5))
 
 
 def test_partition_iid_reproducible_and_balanced():
     labels = np.arange(103) % 7
     a = partition_data(labels, 4, "iid", seed=42)
     b = partition_data(labels, 4, "iid", seed=42)
-    assert np.array_equal(a.shard_of, b.shard_of)
-    sizes = [len(s) for s in a.shards()]
+    assert len(a) == len(b) and all(np.array_equal(s, t) for s, t in zip(a, b))
+    sizes = [len(s) for s in a]
     assert sum(sizes) == 103 and max(sizes) - min(sizes) <= 1
 
 
 def test_partition_every_sample_once_nonempty():
     _, (X, y) = make_logreg(101, dim=10, n_classes=5, seed=1)
     for mode, sp in (("iid", 1.0), ("label_skew", 0.3), ("label_skew", 0.01)):
-        part = partition_data(y, 7, mode, skew_param=sp, seed=3)
-        shards = part.shards()
+        shards = partition_data(y, 7, mode, skew_param=sp, seed=3)
         assert all(len(s) > 0 for s in shards)
         assert sorted(np.concatenate(shards).tolist()) == list(range(101))
 
@@ -150,8 +148,7 @@ def test_partition_label_skew_concentrates():
     _, (X, y) = make_logreg(500, dim=50, n_classes=10, seed=2)
     conc = []
     for seed in range(50):
-        part = partition_data(y, 10, "label_skew", skew_param=0.005, seed=seed)
-        for s in part.shards():
+        for s in partition_data(y, 10, "label_skew", skew_param=0.005, seed=seed):
             conc.append(np.bincount(y[s]).max() / len(s))
     assert float(np.mean(conc)) >= 0.9
 
@@ -188,6 +185,13 @@ def quad_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+@pytest.mark.parametrize("kw", [{"variant": "bogus"}, {"alpha": -1.0}, {"variant": "ga", "k": 31}])
+def test_run_config_rejects_bad_values_at_construction(kw):
+    # each one once constructed and failed only inside run
+    with pytest.raises(ValueError):
+        quad_config(**kw)
 
 
 def test_run_zero_horizon():
@@ -302,8 +306,7 @@ def test_dense_amsgrad_loss_decreasing_after_burn_in():
 
 def test_gradient_unbiasedness_iid():
     prob, (X, y) = make_logreg(240, dim=20, n_classes=4, seed=3)
-    part = partition_data(y, 4, "iid", seed=3)
-    shards = part.shards()
+    shards = partition_data(y, 4, "iid", seed=3)
     x = 0.1 * np.random.default_rng(4).standard_normal(20)
     full = prob.gradient(x, None)
     draws = []

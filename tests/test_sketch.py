@@ -10,6 +10,7 @@ from sketchgrad.sketch import (
     scale,
     sign_hash,
     sketch_vector,
+    top_m,
 )
 
 
@@ -117,8 +118,10 @@ def test_sketch_vector_matches_accumulate_loop_bitwise(cfg):
 
 
 def test_sketch_vector_length_mismatch(cfg):
-    with pytest.raises(ValueError):
-        sketch_vector(cfg, np.zeros(99))
+    # a short vector, a non-finite entry and a 2-d array are each rejected
+    for vector in (np.zeros(99), np.array([0.0] * 99 + [np.inf]), np.zeros((1, 100))):
+        with pytest.raises(ValueError):
+            sketch_vector(cfg, vector)
 
 
 def test_merge_identity(cfg):
@@ -236,6 +239,29 @@ def test_heavy_candidates_range_error(cfg):
         sk.heavy_candidates(0)
     with pytest.raises(ValueError):
         sk.heavy_candidates(101)
+
+
+def test_top_m_examples():
+    assert top_m(np.abs(np.array([3.0, -5.0, 1.0])), 1).tolist() == [1]
+    assert top_m(np.abs(np.array([0.5, -1.5, 2.5])), 3).tolist() == [2, 1, 0]
+    assert top_m(np.abs(np.array([2.0, -2.0, 0.5])), 1).tolist() == [0]
+
+
+def test_top_m_against_sorted_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(1, 30))
+        v = np.round(rng.standard_normal(d), 1)
+        k = int(rng.integers(1, d + 1))
+        oracle = sorted(range(d), key=lambda i: (-abs(v[i]), i))[:k]
+        assert top_m(np.abs(v), k).tolist() == oracle
+
+
+def test_top_m_range_error():
+    with pytest.raises(ValueError):
+        top_m(np.ones(3), 0)
+    with pytest.raises(ValueError):
+        top_m(np.ones(3), 4)
 
 
 def test_serialization_roundtrip(cfg):
