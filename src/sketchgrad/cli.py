@@ -82,7 +82,9 @@ def load_config_file(path: str) -> dict:
                             parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -143,25 +145,35 @@ def resolve_config(raw: dict) -> dict:
     return out
 
 
-def _check_type(name: str, value, kind: str) -> None:
-    """Reject a value whose JSON type does not fit kind, a field's
-    annotation text; a bool is not a number here, though Python counts
-    it as one."""
+def _check_type(name: str, value, kind: str):
+    """Return the value, as a float for a float kind, after rejecting one
+    whose JSON type does not fit kind, a field's annotation text; a bool
+    is not a number here, though Python counts it as one."""
     types = _JSON_TYPES.get(kind)
     if types is None:
-        return
+        return value
     if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise ConfigError(f"'{name}' must be of type {kind}, got {value!r}")
+    if kind != "float":
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"'{name}' is too large for a float") from exc
 
 
 def build_run_config(resolved: dict) -> RunConfig:
-    fields = {k: v for k, v in resolved.items() if k in _RUN_FIELDS and k != "problem"}
-    for name, value in resolved["problem"].items():
-        _check_type(f"problem.{name}", value, _PROBLEM_FIELDS[name].type)
-    for name, value in fields.items():
-        _check_type(name, value, _RUN_FIELDS[name].type)
+    problem = {
+        name: _check_type(f"problem.{name}", value, _PROBLEM_FIELDS[name].type)
+        for name, value in resolved["problem"].items()
+    }
+    fields = {
+        name: _check_type(name, value, _RUN_FIELDS[name].type)
+        for name, value in resolved.items()
+        if name in _RUN_FIELDS and name != "problem"
+    }
     try:
-        spec = ProblemSpec(**resolved["problem"])
+        spec = ProblemSpec(**problem)
         return RunConfig(problem=spec, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

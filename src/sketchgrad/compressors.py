@@ -117,7 +117,7 @@ def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
     the exact float result."""
     acc = np.zeros_like(rows[0])
     for r in rows:
-        acc = acc + r
+        np.add(acc, r, out=acc)
     return acc / len(rows)
 
 

@@ -230,6 +230,11 @@ def step(
     target = sequential_mean(payloads)
     payloads[:, chosen] = 0.0  # the error keeps what was not sent
     state.last_indices = chosen
+    mean_err = None
+    if state.shadow_x is not None:
+        # the worker-order mean of the error: each column sums as in target
+        mean_err = target.copy()
+        mean_err[chosen] = 0.0
 
     delta = np.zeros(dim)
     delta[chosen] = agg.global_update.values
@@ -239,8 +244,7 @@ def step(
     state.x -= alpha_t * delta
 
     gap = math.nan
-    if state.shadow_x is not None:
-        mean_err = sequential_mean(state.e)
+    if mean_err is not None:
         gap = float(np.max(np.abs(state.x - state.shadow_x - rate * mean_err)))
     ratio_sq, overlap = _selection_diagnostics(target, delta, chosen, cfg.k)
     return StepDiagnostics(

@@ -147,6 +147,63 @@ def top_m(scores: np.ndarray, m: int) -> np.ndarray:
     return survivors[order[:m]]
 
 
+@lru_cache(maxsize=None)
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Batcher's odd-even merge sort on n wires, pruned to the comparators
+    the middle output (the two middle ones for even n) depends on.
+
+    Each entry (a, b, keep_min, keep_max) compares wires a < b, puts the
+    min on a and the max on b, and says which of the two is read later.
+    """
+    p = 1 << (n - 1).bit_length()
+    net = []
+    t = 1
+    while t < p:
+        k = t
+        while k >= 1:
+            for j in range(k % t, p - k, 2 * k):
+                for i in range(min(k, p - j - k)):
+                    a, b = i + j, i + j + k
+                    # wires at n and above would hold +inf: their comparators are no-ops
+                    if a // (2 * t) == b // (2 * t) and b < n:
+                        net.append((a, b))
+            k //= 2
+        t *= 2
+    live = {(n - 1) // 2, n // 2}
+    pruned = []
+    for a, b in reversed(net):
+        if a in live or b in live:
+            pruned.append((a, b, a in live, b in live))
+            live |= {a, b}
+    return tuple(reversed(pruned))
+
+
+def _median_of_rows(vals: np.ndarray) -> np.ndarray:
+    """Median of each column of an (n, m) array, as np.median(vals, axis=0)
+    takes it up to the sign of a zero; overwrites vals.
+
+    A pruned comparator network of np.minimum/np.maximum: each returns
+    one of its inputs, so every output is the value np.sort would put in
+    the middle. No array is allocated beyond one spare row.
+    """
+    wires = list(vals)
+    spare = np.empty_like(wires[0])
+    for a, b, keep_min, keep_max in _median_network(len(wires)):
+        lo, hi = wires[a], wires[b]
+        if keep_min and keep_max:
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            wires[a], spare = spare, lo
+        elif keep_min:
+            np.minimum(lo, hi, out=lo)
+        else:
+            np.maximum(lo, hi, out=hi)
+    n = len(wires)
+    if n % 2:
+        return wires[n // 2]
+    return (wires[n // 2 - 1] + wires[n // 2]) / 2
+
+
 class CountSketch:
     """One r x c table plus the config that defines its hash family."""
 
@@ -189,13 +246,11 @@ class CountSketch:
 
     def estimate_all(self) -> np.ndarray:
         """Point-query every coordinate (the median over rows, as np.median
-        takes it); O(dim * rows)."""
+        takes it, up to the sign of a zero); O(dim * rows)."""
         cells, signs = _cells(self.config)
-        vals = np.sort(signs * self.table.reshape(-1)[cells], axis=1)
-        mid = self.config.rows // 2
-        if self.config.rows % 2:
-            return vals[:, mid]
-        return (vals[:, mid - 1] + vals[:, mid]) / 2
+        vals = np.take(self.table.reshape(-1), cells.T)
+        vals *= signs.T
+        return _median_of_rows(vals)
 
     def heavy_candidates(self, m: int) -> np.ndarray:
         """Indices of the m largest |estimate|, ties broken by lower index.

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -14,12 +15,17 @@ from sketchgrad.cli import (
 )
 
 
-# written unquoted: a JSON number too large for a float, which parses as inf
+# written unquoted: a JSON number too large for a float, which parses as
+# inf, and an integer longer than Python converts from text
 HUGE = "1e400"
+LONG = "1" + "0" * 5000
 
 
 def write_config(path, body):
-    path.write_text(json.dumps(body).replace(f'"{HUGE}"', HUGE))
+    text = json.dumps(body)
+    for literal in (HUGE, LONG):
+        text = text.replace(f'"{literal}"', literal)
+    path.write_text(text)
     return str(path)
 
 
@@ -174,21 +180,30 @@ def test_run_numeric_abort_exit_code(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("flags", [[], ["--no-invariants"]])
 def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
     # alpha 1e300 sends the iterate far enough that its loss overflows at
-    # once; the run must stop there, before the shadow check or the trace
-    body = {"problem": {"kind": "quadratic", "dim": 20}, "variant": "pa", "k": 2,
-            "p_factor": 2, "rows": 3, "cols": 8, "alpha": 1e300}
-    cfg = write_config(tmp_path / "c.json", body)
-    out = tmp_path / "out"
-    assert main(["run", cfg, "-o", str(out), *flags]) == EXIT_NUMERIC
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "numeric" and "iteration 1" in error["detail"]
-    assert not (out / "trace.csv").exists()
+    # once, and noise_std 1e308 overflows the scaled worker noise; the run
+    # must stop there, before the shadow check or the trace
+    base = {"problem": {"kind": "quadratic", "dim": 20}, "variant": "pa", "k": 2,
+            "p_factor": 2, "rows": 3, "cols": 8}
+    bodies = [{**base, "alpha": 1e300},
+              {**base, "problem": {"kind": "quadratic", "dim": 20, "noise_std": 1e308},
+               "batch_size": 1}]
+    for i, body in enumerate(bodies):
+        cfg = write_config(tmp_path / f"c{i}.json", body)
+        out = tmp_path / f"out{i}"
+        # record the warnings of every thread, the noise helper's too: on
+        # the command line each would print more lines to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg, "-o", str(out), *flags]) == EXIT_NUMERIC
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "numeric" and "iteration 1" in error["detail"]
+        assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -241,6 +256,13 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
          "sweep": {"threshold": float("nan"), "worker_counts": [1, 2]}},
         {"problem": {"kind": "quadratic", "dim": 20},
          "sweep": {"threshold": HUGE, "worker_counts": [1, 2]}},
+        # integers too large for a float given for float keys
+        {"problem": {"kind": "quadratic", "dim": 20}, "alpha": 10**400},
+        {"problem": {"kind": "quadratic", "dim": 20}, "epsilon": 10**400},
+        {"problem": {"kind": "quadratic", "dim": 20, "noise_std": 10**400}},
+        {"problem": {"kind": "logreg", "dim": 20, "class_spread": 10**400}},
+        {"problem": {"kind": "quadratic", "dim": 20, "condition_number": 10**400}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "alpha": LONG},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):
@@ -277,6 +299,18 @@ def test_sweep_leaves_main_trace(tmp_path, jobs):
     assert main(["run", swept, "-o", str(tmp_path / "swept"), "--jobs", jobs]) == EXIT_OK
     trace = (tmp_path / "plain" / "trace.csv").read_bytes()
     assert (tmp_path / "swept" / "trace.csv").read_bytes() == trace
+
+
+def test_noisy_sweep_outputs_identical_across_jobs(tmp_path):
+    # every noisy run draws its next noise on a helper thread; runs on
+    # parallel threads must still write the bytes of a serial run
+    body = small_quadratic(horizon=15)
+    body["sweep"] = {"worker_counts": [1, 2, 3], "threshold": 1e9, "alphas": [0.05, 0.1]}
+    cfg = write_config(tmp_path / "c.json", body)
+    for jobs in ("1", "2"):
+        assert main(["run", cfg, "-o", str(tmp_path / jobs), "--jobs", jobs]) == EXIT_OK
+    for name in ("trace.csv", "speedup.csv", "sweep_alpha.csv"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 # ---------------------------------------------------------------- compare

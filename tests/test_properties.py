@@ -7,6 +7,8 @@ per-worker sketches, np.median over the rows, and the separate full-batch
 loss and gradient.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from sketchgrad.simulation import make_logreg, make_quadratic
 from sketchgrad.sketch import (
     CountSketch,
     SketchConfig,
+    _median_of_rows,
     bucket_hash,
     sign_hash,
     sketch_rows,
@@ -27,9 +30,8 @@ from sketchgrad.sketch import (
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 # few distinct magnitudes, both signed zeros: ties are the common case
-tie_heavy = st.lists(
-    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0]), min_size=1, max_size=40
-)
+ties = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
+tie_heavy = st.lists(ties, min_size=1, max_size=40)
 # arbitrary finite values mixed with both signed zeros
 values = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -112,10 +114,28 @@ def test_merged_sketch_sums_workers_in_order(cfg, n, data):
     assert np.array_equal(bits(merged.table), bits(want.table))
 
 
+@pytest.mark.parametrize("rows", range(1, 11))
+def test_median_network_selects_the_middle_of_every_zero_one_column(rows):
+    # 0-1 principle: a comparator network puts the k-th smallest value on
+    # a wire for every input if it does so for every input of 0s and 1s
+    columns = np.array(list(itertools.product([0.0, 1.0], repeat=rows))).T
+    assert np.array_equal(_median_of_rows(columns.copy()), np.median(columns, axis=0))
+
+
 @SETTINGS
-@given(configs, st.data())
+@given(
+    st.builds(
+        SketchConfig,
+        rows=st.integers(1, 10),  # odd and even depths, each its own network
+        cols=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        dim=st.integers(1, 30),
+    ),
+    st.data(),
+)
 def test_estimate_all_matches_median_reference(cfg, data):
-    cells = data.draw(st.lists(values, min_size=cfg.size, max_size=cfg.size))
+    cell = data.draw(st.sampled_from([values, ties]))
+    cells = data.draw(st.lists(cell, min_size=cfg.size, max_size=cfg.size))
     sk = CountSketch(cfg, np.array(cells).reshape(cfg.rows, cfg.cols))
     ref = [
         np.median(
@@ -123,7 +143,7 @@ def test_estimate_all_matches_median_reference(cfg, data):
         )
         for i in range(cfg.dim)
     ]
-    # median and sort may return different signs of zero
+    # median and the comparator network may return different signs of zero
     assert np.array_equal(np.abs(sk.estimate_all()), np.abs(ref))
     assert all(abs(sk.estimate(i)) == abs(ref[i]) for i in range(cfg.dim))
 

@@ -2,10 +2,12 @@ import dataclasses
 import logging
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from sketchgrad.optimizers import NumericError
 from sketchgrad.simulation import (
     InvariantViolation,
     ProblemSpec,
@@ -254,10 +256,49 @@ def test_run_invariant_violation_aborts(monkeypatch):
         run(cfg)
 
 
+def test_shadow_check_scales_with_the_iterates():
+    # GA at condition number 1e6 drives max|x| to about 3e5; the gap's
+    # last-bit rounding reaches 1.9e-9 at iteration 39, which an absolute
+    # 1e-9 bound once reported as a broken identity (the horizon sets the
+    # step size, so it is part of the reproducer)
+    spec = ProblemSpec(kind="quadratic", dim=50, condition_number=1e6, noise_std=1.0)
+    cfg = RunConfig(problem=spec, variant="ga", alpha=0.01, horizon=40, n_workers=2, k=2,
+                    p_factor=2, rows=3, cols=8, seed=0)
+    x, records = run(cfg)
+    assert len(records) == 40
+    assert max(r.shadow_gap for r in records) > 1e-9
+    assert max(r.shadow_gap for r in records) <= 1e-9 * np.max(np.abs(x))
+
+
+def test_numeric_error_mid_run_stops_the_noise_helper(monkeypatch):
+    # the helper draws iteration t+1's noise during step t; a run that
+    # aborts must not leave it running
+    import sketchgrad.simulation as sim
+
+    drawn_on = []
+    draw = sim._draw_noise
+
+    def recording_draw(seed, t, out):
+        drawn_on.append((t, threading.current_thread()))
+        return draw(seed, t, out)
+
+    monkeypatch.setattr(sim, "_draw_noise", recording_draw)
+    spec = ProblemSpec(kind="quadratic", dim=30, condition_number=5.0, noise_std=1.0)
+    # alpha 1e100 overflows the loss at iteration 2
+    with pytest.raises(NumericError, match="iteration 2"):
+        run(quad_config(problem=spec, alpha=1e100))
+    helpers = [thread for t, thread in drawn_on if t > 1]
+    assert [t for t, _ in drawn_on] == [1, 2, 3]
+    assert helpers and all(th is not threading.main_thread() for th in helpers)
+    assert not any(th.is_alive() for th in helpers)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
 def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
-    # n worker gradients and one fused evaluate per iteration; the trace
-    # must not go back to separate full-batch loss and gradient calls
+    # per iteration, one fused evaluate and the workers' gradients: n
+    # minibatch gradients for logreg, and for the quadratic one full
+    # gradient that every worker shares; the trace must not go back to
+    # separate full-batch loss and gradient calls
     import sketchgrad.simulation as sim
 
     calls = {"worker_gradient": 0, "full_gradient": 0, "loss": 0, "evaluate": 0}
@@ -292,7 +333,8 @@ def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
                     p_factor=2, rows=3, cols=8, batch_size=4, seed=2)
     _, records = run(cfg)
     assert len(records) == 7
-    assert calls == {"worker_gradient": 3 * 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
+    workers = 1 if kind == "quadratic" else 3
+    assert calls == {"worker_gradient": workers * 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
 
 
 def test_dense_amsgrad_loss_decreasing_after_burn_in():
