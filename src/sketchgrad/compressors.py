@@ -123,12 +123,8 @@ def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
 
 def _merged_sketch(payloads: np.ndarray, cfg: ProtocolConfig) -> CountSketch:
     """Mean of the worker sketches, summed in worker order."""
-    tables = sketch_rows(cfg.sketch, payloads)
-    acc = np.zeros(cfg.sketch.size)
-    for w in range(tables.shape[1]):
-        acc += tables[:, w]
-    acc /= tables.shape[1]
-    return CountSketch(cfg.sketch, acc.reshape(cfg.sketch.rows, cfg.sketch.cols))
+    mean = sequential_mean(sketch_rows(cfg.sketch, payloads).T)
+    return CountSketch(cfg.sketch, mean.reshape(cfg.sketch.rows, cfg.sketch.cols))
 
 
 def sketched_topk_aggregate(

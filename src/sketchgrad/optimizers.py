@@ -225,9 +225,13 @@ def step(
         state.shadow_x -= rate * sequential_mean(direction)
     del direction  # PA's (n, dim) temporary is not held through the aggregation
 
+    # every mean the aggregation takes is a coordinate of target, so a
+    # finite target also rules out an overflowing sum of finite payloads
+    target = sequential_mean(payloads)
+    if not np.all(np.isfinite(target)):
+        raise NumericError(f"non-finite payload mean at iteration {t}")
     agg = sketched_topk_aggregate(payloads, cfg, v_hat=state.v_hat if variant == "ga" else None)
     chosen = agg.global_update.indices
-    target = sequential_mean(payloads)
     payloads[:, chosen] = 0.0  # the error keeps what was not sent
     state.last_indices = chosen
     mean_err = None

@@ -312,7 +312,7 @@ class RunConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self.hyper()
         if self.variant in SKETCHED:
-            self.protocol(self.problem.dim)
+            self.protocol()
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -324,8 +324,8 @@ class RunConfig:
             n_workers=self.n_workers,
         )
 
-    def protocol(self, dim: int) -> ProtocolConfig:
-        sk = SketchConfig(rows=self.rows, cols=self.cols, seed=self.seed, dim=dim)
+    def protocol(self) -> ProtocolConfig:
+        sk = SketchConfig(rows=self.rows, cols=self.cols, seed=self.seed, dim=self.problem.dim)
         return ProtocolConfig(k=self.k, p_factor=self.p_factor, sketch=sk)
 
 
@@ -396,9 +396,10 @@ def _check_step_invariants(
 def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     """Execute one seeded training run and return (final x, trace).
 
-    Raises NumericError at the first non-finite gradient, iterate, loss
-    or squared gradient norm, before any invariant check of that step;
-    that error replaces numpy's overflow and invalid-value warnings.
+    Raises NumericError at the first non-finite gradient, payload mean,
+    iterate, loss or squared gradient norm, before any invariant check of
+    that step; that error replaces numpy's overflow and invalid-value
+    warnings.
     """
     problem = build_problem(config.problem, config.seed)
     shards = None
@@ -407,7 +408,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
             problem.labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
         )
     params = config.hyper()
-    proto = config.protocol(problem.dim) if config.variant in SKETCHED else None
+    proto = config.protocol() if config.variant in SKETCHED else None
     state = OptimizerState.initial(
         config.variant, np.zeros(problem.dim), params, track_shadow=config.check_invariants
     )
@@ -451,19 +452,11 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                     raise NumericError(f"non-finite {name} at iteration {t}")
             if config.check_invariants:
                 _check_step_invariants(state, diag, prev_v_hat, t)
+            rate = compression_rate(problem.dim, diag.upstream_scalars, diag.downstream_scalars)
             records.append(
                 TraceRecord(
-                    iter=t,
-                    train_loss=loss,
-                    grad_norm_sq=grad_norm_sq,
-                    upstream_scalars=diag.upstream_scalars,
-                    downstream_scalars=diag.downstream_scalars,
-                    compression_rate=compression_rate(
-                        problem.dim, diag.upstream_scalars, diag.downstream_scalars
-                    ),
-                    contraction_ratio=diag.contraction_ratio,
-                    topk_overlap=diag.topk_overlap,
-                    shadow_gap=diag.shadow_gap,
+                    iter=t, train_loss=loss, grad_norm_sq=grad_norm_sq,
+                    compression_rate=rate, **vars(diag),
                 )
             )
     # bounded-gradient constant of the run, reported for reference

@@ -59,14 +59,6 @@ class SketchConfig:
         return self.rows * self.cols
 
 
-def _mix64_int(z: int) -> int:
-    """Scalar splitmix64 finalizer on a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer; z must be uint64 (wraps mod 2^64)."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -75,7 +67,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _row_key(config: SketchConfig, row: int) -> int:
-    return _mix64_int(config.seed ^ (((row + 1) * _ROW_SALT) & _MASK64))
+    # a one-element array: numpy scalars warn when the multiply wraps
+    word = np.array([config.seed ^ (((row + 1) * _ROW_SALT) & _MASK64)], dtype=np.uint64)
+    return int(_mix64(word)[0])
 
 
 def _cell_hash(config: SketchConfig, row: int, indices: np.ndarray) -> np.ndarray:
@@ -238,11 +232,12 @@ class CountSketch:
         return self
 
     def estimate(self, index: int) -> float:
-        """Median-of-rows point query for one coordinate."""
+        """Median-of-rows point query for one coordinate; bit-identical to
+        estimate_all()[index], since both take the same median."""
         _check_row_index(self.config, 0, index)
         cells, signs = _cells(self.config)
         vals = signs[index] * self.table.reshape(-1)[cells[index]]
-        return float(np.median(vals))
+        return float(_median_of_rows(vals[:, None])[0])
 
     def estimate_all(self) -> np.ndarray:
         """Point-query every coordinate (the median over rows, as np.median

@@ -21,10 +21,12 @@ from .compressors import (
     sketched_topk_aggregate,
 )
 from .optimizers import HyperParams, OptimizerState, step, step_size
-from .sketch import CountSketch, SketchConfig, sketch_vector, top_m
+from .sketch import CountSketch, SketchConfig, _cells, merge, sketch_vector, top_m
 from .simulation import ProblemSpec, RunConfig, run
 
 DELTA = 0.05  # failure-probability budget shared by the probabilistic checks
+# the reference sketch shape: dimension, rows and columns
+REF_DIM, REF_ROWS, REF_COLS = 10_000, 7, 2000
 
 
 @dataclass
@@ -46,48 +48,39 @@ class CheckResult:
 
 
 def _planted_vectors(
-    rng: np.random.Generator,
-    n_workers: int,
-    dim: int,
-    n_heavy: int,
-    heavy_low: float = 5.0,
-    heavy_high: float = 15.0,
-    noise: float = 0.5,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Worker vectors sharing a planted heavy support over a dense
-    Gaussian background; returns (vectors, planted indices)."""
+    rng: np.random.Generator, n_workers: int, dim: int, n_heavy: int
+) -> np.ndarray:
+    """The (n_workers, dim) rows of worker vectors sharing a planted heavy
+    support, magnitudes in [5, 15), over a N(0, 0.5^2) background."""
     support = rng.choice(dim, size=n_heavy, replace=False)
     base = np.zeros(dim)
-    base[support] = rng.uniform(heavy_low, heavy_high, n_heavy) * rng.choice(
-        [-1.0, 1.0], n_heavy
-    )
-    vectors = [base + noise * rng.standard_normal(dim) for _ in range(n_workers)]
-    return vectors, support
+    base[support] = rng.uniform(5.0, 15.0, n_heavy) * rng.choice([-1.0, 1.0], n_heavy)
+    return base + 0.5 * rng.standard_normal((n_workers, dim))
 
 
 # ---------------------------------------------------------------- sketch
 
 
-def point_query_failure_rates(
-    seed: int, trials: int = 500, dim: int = 10_000, rows: int = 7, cols: int = 2000
-) -> tuple[float, float]:
+def point_query_failure_rates(seed: int, trials: int = 500) -> tuple[float, float]:
     """Monte-Carlo failure rates of the point-query guarantees on random
-    Gaussian vectors, one queried coordinate per trial.
+    Gaussian vectors at the reference shape, one queried coordinate per
+    trial.
 
     Returns (amplitude rate, squared rate): the amplitude form tests
     |est - x_i| <= eps*norm2(x) with eps = 60/c (the Theta(1/eps) column
     constant chosen for the reference shape), the squared form tests
     |est^2 - x_i^2| <= eps*norm2(x)^2 with eps = 3/c.
     """
-    eps_amp = 60.0 / cols
-    eps_sq = 3.0 / cols
+    eps_amp = 60.0 / REF_COLS
+    eps_sq = 3.0 / REF_COLS
     fails_amp = fails_sq = 0
     for trial in range(trials):
         trng = np.random.default_rng([seed, 17, trial])
-        x = trng.standard_normal(dim)
-        cfg = SketchConfig(rows=rows, cols=cols, seed=int(trng.integers(1 << 62)), dim=dim)
+        x = trng.standard_normal(REF_DIM)
+        cfg = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(trng.integers(1 << 62)),
+                           dim=REF_DIM)
         sk = sketch_vector(cfg, x)
-        i = int(trng.integers(dim))
+        i = int(trng.integers(REF_DIM))
         est = sk.estimate(i)
         nrm2 = float(np.dot(x, x))
         if abs(est - x[i]) > eps_amp * math.sqrt(nrm2):
@@ -107,12 +100,9 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     same = np.array_equal(sketch_vector(cfg, v).table, sketch_vector(cfg, v).table)
     results.append(CheckResult("sketch", "determinism", same, float(same), 1.0))
 
-    # bucket uniformity: chi-square over 256 buckets
-    from .sketch import _cell_hash  # vectorized path for speed
-
+    # bucket uniformity: chi-square over 256 buckets of the operator's one row
     cfg_u = SketchConfig(rows=1, cols=256, seed=seed + 1, dim=100_000)
-    h_all = _cell_hash(cfg_u, 0, np.arange(100_000, dtype=np.uint64))
-    buckets = ((h_all >> np.uint64(32)) % np.uint64(256)).astype(np.int64)
+    buckets, signs = (a[:, 0] for a in _cells(cfg_u))
     counts = np.bincount(buckets, minlength=256)
     _, pvalue = stats.chisquare(counts)
     results.append(
@@ -121,7 +111,6 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     )
 
     # sign balance
-    signs = np.where((h_all & np.uint64(1)) == 0, 1.0, -1.0)
     bias = abs(float(np.mean(signs)))
     results.append(CheckResult("sketch", "sign_balance", bias < 0.02, bias, 0.02))
 
@@ -147,7 +136,7 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     vecs = [rng.standard_normal(300) for _ in range(8)]
     merged = CountSketch(cfg_l)
     for w in vecs:
-        merged.table += sketch_vector(cfg_l, w).table
+        merged = merge(merged, sketch_vector(cfg_l, w))
     total = np.zeros(300)
     for w in vecs:
         total = total + w
@@ -167,7 +156,6 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
         CheckResult("sketch", "point_query_squared", rate_sq <= DELTA,
                     rate_sq, DELTA, "|est^2 - x_i^2| <= (3/c)*norm2(x)^2")
     )
-    d, r, c = 10_000, 7, 2000
 
     # planted heavy coordinates are recovered among the top candidates;
     # heavies sit at >= 10 so they clear the l2-tail noise floor
@@ -176,10 +164,11 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     trials_rec = 200
     for trial in range(trials_rec):
         trng = np.random.default_rng([seed, 23, trial])
-        base = trng.standard_normal(d)
-        support = trng.choice(d, size=10, replace=False)
+        base = trng.standard_normal(REF_DIM)
+        support = trng.choice(REF_DIM, size=10, replace=False)
         base[support] = trng.uniform(10, 20, 10) * trng.choice([-1.0, 1.0], 10)
-        cfg_p = SketchConfig(rows=r, cols=c, seed=int(trng.integers(1 << 62)), dim=d)
+        cfg_p = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(trng.integers(1 << 62)),
+                             dim=REF_DIM)
         cand = sketch_vector(cfg_p, base).heavy_candidates(20)
         if np.isin(support, cand).all():
             recovered += 1
@@ -198,13 +187,11 @@ def _contraction_trial(
 ) -> tuple[bool, bool, bool]:
     """One aggregation trial; returns (lemma bound holds, safety bound
     holds, mean consistency exact)."""
-    d, r, c, k, p, n = 10_000, 7, 2000, 100, 4, 4
+    d, k = REF_DIM, 100
     rng = np.random.default_rng([seed, 31 if scaled else 29, trial])
-    vectors, _ = _planted_vectors(rng, n, d, k)
-    payloads = np.array(vectors)
-    cfg = ProtocolConfig(
-        k=k, p_factor=p, sketch=SketchConfig(rows=r, cols=c, seed=int(rng.integers(1 << 62)), dim=d)
-    )
+    payloads = _planted_vectors(rng, 4, d, k)
+    sk = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(rng.integers(1 << 62)), dim=d)
+    cfg = ProtocolConfig(k=k, p_factor=4, sketch=sk)
     root = 1.0
     v_hat = None
     if scaled:
@@ -304,22 +291,17 @@ def compressor_suite(seed: int = 0) -> list[CheckResult]:
 # ------------------------------------------------------------- optimizer
 
 
-def ga_dense_gap(
-    seed: int,
-    epsilon: float,
-    steps: int = 100,
-    dim: int = 50,
-    n: int = 4,
-    lag_first_variance: bool = False,
-) -> float:
+def ga_dense_gap(seed: int, epsilon: float, lag_first_variance: bool = False) -> float:
     """Max per-coordinate gap between GA at k = dim and a dense AMSGrad
-    recursion over a shared random gradient sequence.
+    recursion over a shared random gradient sequence: 100 steps of 4
+    workers at dim 50.
 
     With lag_first_variance the oracle's variance update skips the first
     gradient, mirroring the empty initial index set of the sketched
     server; that form matches at any epsilon. The plain form matches
     when epsilon dominates the squared gradients.
     """
+    steps, dim, n = 100, 50, 4
     rng = np.random.default_rng(seed)
     hp = HyperParams(alpha=0.05, beta1=0.9, beta2=0.999, epsilon=epsilon,
                      horizon=steps, n_workers=n)
@@ -346,11 +328,11 @@ def ga_dense_gap(
     return worst
 
 
-def shadow_gap_run(variant: str, seed: int, horizon: int = 300) -> float:
-    """Largest shadow-identity violation over a noisy-quadratic run."""
+def shadow_gap_run(variant: str, seed: int) -> float:
+    """Largest shadow-identity violation over a 300-step noisy-quadratic run."""
     spec = ProblemSpec(kind="quadratic", dim=200, condition_number=10.0, noise_std=2.0)
     config = RunConfig(
-        problem=spec, variant=variant, alpha=0.05, epsilon=1e-4, horizon=horizon,
+        problem=spec, variant=variant, alpha=0.05, epsilon=1e-4, horizon=300,
         n_workers=4, k=20, p_factor=4, rows=5, cols=50, batch_size=16, seed=seed,
         check_invariants=True,
     )

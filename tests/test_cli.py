@@ -184,13 +184,19 @@ def test_run_numeric_abort_exit_code(tmp_path):
 def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
     # alpha 1e300 sends the iterate far enough that its loss overflows at
     # once, and noise_std 1e308 overflows the scaled worker noise; the run
-    # must stop there, before the shadow check or the trace
+    # must stop there, before the shadow check or the trace. With
+    # noise_std 4e307 and a tiny alpha the sketched SGD error accumulator
+    # overflows at iteration 2 while the iterate stays finite; that once
+    # ended in a traceback from the sketch's finiteness check.
     base = {"problem": {"kind": "quadratic", "dim": 20}, "variant": "pa", "k": 2,
             "p_factor": 2, "rows": 3, "cols": 8}
-    bodies = [{**base, "alpha": 1e300},
-              {**base, "problem": {"kind": "quadratic", "dim": 20, "noise_std": 1e308},
-               "batch_size": 1}]
-    for i, body in enumerate(bodies):
+    bodies = [({**base, "alpha": 1e300}, 1),
+              ({**base, "problem": {"kind": "quadratic", "dim": 20, "noise_std": 1e308},
+                "batch_size": 1}, 1),
+              ({"problem": {"kind": "quadratic", "dim": 50, "noise_std": 4e307},
+                "variant": "sketched_sgd", "alpha": 1e-300, "horizon": 5, "n_workers": 2,
+                "k": 2, "p_factor": 2, "rows": 3, "cols": 16, "batch_size": 1}, 2)]
+    for i, (body, iteration) in enumerate(bodies):
         cfg = write_config(tmp_path / f"c{i}.json", body)
         out = tmp_path / f"out{i}"
         # record the warnings of every thread, the noise helper's too: on
@@ -202,7 +208,7 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
-        assert error["error"] == "numeric" and "iteration 1" in error["detail"]
+        assert error["error"] == "numeric" and f"iteration {iteration}" in error["detail"]
         assert not (out / "trace.csv").exists()
 
 

@@ -146,6 +146,9 @@ def test_estimate_all_matches_median_reference(cfg, data):
     # median and the comparator network may return different signs of zero
     assert np.array_equal(np.abs(sk.estimate_all()), np.abs(ref))
     assert all(abs(sk.estimate(i)) == abs(ref[i]) for i in range(cfg.dim))
+    # one median behind both queries: the same bits, sign of zero included
+    singles = [sk.estimate(i) for i in range(cfg.dim)]
+    assert np.array_equal(bits(singles), bits(sk.estimate_all()))
 
 
 @pytest.mark.parametrize(
