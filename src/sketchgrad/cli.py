@@ -5,7 +5,7 @@ field; unknown or duplicate keys are rejected so a typo cannot silently
 fall back to a default. A copy of the fully resolved config is written
 next to every trace for reproducibility.
 
-Exit codes: 0 success, 2 malformed config, 3 numeric abort,
+Exit codes: 0 success, 2 malformed config or arguments, 3 numeric abort,
 4 invariant or property failure; `main` maps the errors to them in one
 place.
 """
@@ -30,6 +30,7 @@ from .simulation import (
     ProblemSpec,
     RunConfig,
     TraceRecord,
+    check_seed,
     run,
     smoothed_threshold_iteration,
     write_atomic,
@@ -199,6 +200,15 @@ def _write_json(payload: dict, path: str) -> None:
     write_atomic(path, lambda fh: fh.write(text))
 
 
+def _write_resolved(resolved: dict, output: str) -> None:
+    """Create the output directory and write config.resolved.json into
+    it; a directory that cannot be made or written is a config error."""
+    try:
+        _write_json(resolved, os.path.join(output, "config.resolved.json"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {output!r}: {exc}") from exc
+
+
 def _error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
@@ -225,7 +235,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # every run is built, and so checked, before anything runs or is written
     config = build_run_config(resolved)
     runs = [build_run_config({**resolved, p: v}) for p, values, _ in swept for v in values]
-    _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
+    _write_resolved(resolved, args.output)
     traces = iter(_run_all([config, *runs], args.jobs))
     records = next(traces)
     simulation.write_trace(records, os.path.join(args.output, "trace.csv"))
@@ -248,6 +258,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     for r in results:
@@ -265,8 +279,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants names no variant")
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"--variants names a variant twice: {args.variants!r}")
     configs = [build_run_config({**resolved, "variant": v}) for v in variants]
-    _write_json(resolved, os.path.join(args.output, "config.resolved.json"))
+    _write_resolved(resolved, args.output)
     traces = _run_all(configs, args.jobs)
     header = ["iter"]
     for variant, records in zip(variants, traces):

@@ -54,7 +54,6 @@ class Problem:
     additive gradient noise drawn by the harness with ``noise_std``.
     """
 
-    name: str
     dim: int
     loss: Callable[[np.ndarray, np.ndarray | None], float]
     gradient: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
@@ -97,7 +96,6 @@ def make_quadratic(
         return eigs * (x - x_star)
 
     return Problem(
-        name="quadratic",
         dim=dim,
         loss=loss,
         gradient=gradient,
@@ -164,7 +162,6 @@ def make_logreg(
         return _loss(yb, logits, sums), _gradient(xb, yb, exps, sums)
 
     problem = Problem(
-        name="logreg",
         dim=dim,
         loss=loss,
         gradient=gradient,
@@ -275,6 +272,12 @@ def build_problem(spec: ProblemSpec, seed: int) -> Problem:
     return problem
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**63), the range every command takes."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be a nonnegative 63-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec
@@ -298,8 +301,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.seed < 2**63:
-            raise ValueError(f"seed must be a nonnegative 63-bit integer, got {self.seed}")
+        check_seed(self.seed)
         if self.problem.kind == "logreg":
             _check_partition(self.partition_mode, self.skew_param)
             if self.n_workers > self.problem.n_samples:

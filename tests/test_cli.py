@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from sketchgrad import cli
 from sketchgrad.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -19,6 +23,10 @@ from sketchgrad.cli import (
 # inf, and an integer longer than Python converts from text
 HUGE = "1e400"
 LONG = "1" + "0" * 5000
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a rejected command started a run")
 
 
 def write_config(path, body):
@@ -170,6 +178,22 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--variants", "ga"]])
+def test_unusable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # -o below a regular file cannot be created; that once ended in a
+    # NotADirectoryError traceback
+    monkeypatch.setattr(cli, "_run_all", _no_run)
+    cfg = write_config(tmp_path / "c.json", small_quadratic())
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    rc = main([command[0], cfg, "-o", str(out), *command[1:]])
+    assert rc == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and str(out) in error["detail"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -346,10 +370,14 @@ def test_compare_ga_dense_full_k_traces_match(tmp_path):
         assert ga == pytest.approx(de, rel=1e-12)
 
 
-def test_compare_rejects_unknown_variant(tmp_path):
+@pytest.mark.parametrize("variants", ["ga,bogus", "ga,ga"])
+def test_compare_rejects_unknown_variant(tmp_path, monkeypatch, variants):
+    # a variant named twice once exited 0 with its trace written twice
+    monkeypatch.setattr(cli, "_run_all", _no_run)
     cfg = write_config(tmp_path / "c.json", small_quadratic())
-    rc = main(["compare", cfg, "--variants", "ga,bogus", "-o", str(tmp_path / "o")])
+    rc = main(["compare", cfg, "--variants", variants, "-o", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 # ----------------------------------------------------------------- verify
@@ -365,6 +393,32 @@ def test_verify_all_within_runtime_budget():
     t0 = time.time()
     assert main(["verify", "all", "--seed", "0"]) == EXIT_OK
     assert time.time() - t0 < 120.0
+
+
+@pytest.mark.parametrize(
+    "suite, seed", [("sketch", "-1"), ("all", str(2**63)), ("sketch", str(2**64))]
+)
+def test_verify_seed_out_of_range_is_config_error(capsys, monkeypatch, suite, seed):
+    # each once ended in a traceback, the second after two suites had run
+    monkeypatch.setattr(cli, "run_suites", _no_run)
+    assert main(["verify", suite, "--seed", seed]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert captured.out == ""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # verify's one chi-square p-value comes from scipy.special; scipy.stats
+    # would load some 400 more modules into every command
+    import sketchgrad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sketchgrad.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_verify_reports_failure_exit(monkeypatch):
