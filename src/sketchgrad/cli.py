@@ -5,9 +5,9 @@ field; unknown or duplicate keys are rejected so a typo cannot silently
 fall back to a default. A copy of the fully resolved config is written
 next to every trace for reproducibility.
 
-Exit codes: 0 success, 2 malformed config or arguments, 3 numeric abort,
-4 invariant or property failure; `main` maps the errors to them in one
-place.
+Exit codes: 0 success, 2 malformed config or arguments, or an output that
+cannot be written, 3 numeric abort, 4 invariant or property failure;
+`main` maps the errors to them in one place.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ PRESETS = {
     "large": {"rows": 10, "cols": 100_000, "k": 50_000, "p_factor": 8},
 }
 
-_PROBLEM_FIELDS = {f.name: f for f in dataclasses.fields(ProblemSpec)}
-_RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_PROBLEM_TYPES = {f.name: f.type for f in dataclasses.fields(ProblemSpec)}
+_RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig) if f.name != "problem"}
 # the JSON type of each sweep key, spelled as a field annotation
 _SWEEP_KEYS = {"worker_counts": "list", "threshold": "float", "window": "int",
                "k_values": "list", "alphas": "list"}
@@ -92,58 +92,56 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
-def resolve_config(raw: dict) -> dict:
-    """Expand preset and defaults into a complete, validated config dict.
+def parse_config(raw: dict) -> tuple[RunConfig, dict]:
+    """Expand the preset, reject unknown keys and values of the wrong JSON
+    type, and build the run's config and its sweep block ({} without one).
 
-    Resolution is idempotent: resolving a resolved config is identity.
+    Parsing is idempotent: resolved_config's output parses to the same run.
     """
     raw = dict(raw)
     preset = raw.pop("preset", None)
     sweep = raw.pop("sweep", None)
-    problem_raw = raw.pop("problem", None)
-    if problem_raw is None:
+    problem = raw.pop("problem", None)
+    if problem is None:
         raise ConfigError("missing required key 'problem'")
-    if not isinstance(problem_raw, dict):
+    if not isinstance(problem, dict):
         raise ConfigError("'problem' must be an object")
-    for key in problem_raw:
-        if key not in _PROBLEM_FIELDS:
-            raise ConfigError(f"unknown key 'problem.{key}'")
-    if "kind" not in problem_raw or "dim" not in problem_raw:
+    problem = _typed("problem.", problem, _PROBLEM_TYPES)
+    if "kind" not in problem or "dim" not in problem:
         raise ConfigError("'problem' requires 'kind' and 'dim'")
-
-    for key in raw:
-        if key not in _RUN_FIELDS or key == "problem":
-            raise ConfigError(f"unknown key {key!r}")
-
-    resolved = {name: f.default for name, f in _RUN_FIELDS.items() if name != "problem"}
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
-        resolved.update(PRESETS[preset])
-    resolved.update(raw)
-
-    problem = {
-        name: problem_raw.get(name, f.default)
-        for name, f in _PROBLEM_FIELDS.items()
-        if name in problem_raw or f.default is not dataclasses.MISSING
-    }
-    out = {"problem": problem, **resolved}
+        raw = {**PRESETS[preset], **raw}
+    fields = _typed("", raw, _RUN_TYPES)
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("'sweep' must be an object")
-        for key, value in sweep.items():
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"unknown key 'sweep.{key}'")
-            _check_type(f"sweep.{key}", value, _SWEEP_KEYS[key])
+        sweep = {"window": 25, **_typed("sweep.", sweep, _SWEEP_KEYS)}
         if "worker_counts" in sweep and "threshold" not in sweep:
             raise ConfigError("'sweep.worker_counts' requires 'sweep.threshold'")
-        out["sweep"] = {"window": 25, **sweep}
-        if out["sweep"]["window"] < 1:
-            raise ConfigError(f"'sweep.window' must be >= 1, got {out['sweep']['window']}")
-        if "threshold" in sweep and not -math.inf < sweep["threshold"] < math.inf:
+        if sweep["window"] < 1:
+            raise ConfigError(f"'sweep.window' must be >= 1, got {sweep['window']}")
+        if not -math.inf < sweep.get("threshold", 0.0) < math.inf:
             raise ConfigError(f"'sweep.threshold' must be finite, got {sweep['threshold']}")
-    build_run_config(out)  # validate eagerly so bad values fail before any run
-    return out
+    try:
+        return RunConfig(ProblemSpec(**problem), **fields), sweep or {}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def resolved_config(config: RunConfig, sweep: dict) -> dict:
+    """The config.resolved.json payload: the run's config, and its sweep if any."""
+    return {**dataclasses.asdict(config), **({"sweep": sweep} if sweep else {})}
+
+
+def _typed(prefix: str, raw: dict, types: dict) -> dict:
+    """raw with every value through _check_type, after rejecting a key
+    that types does not name."""
+    for key in raw:
+        if key not in types:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    return {key: _check_type(prefix + key, value, types[key]) for key, value in raw.items()}
 
 
 def _check_type(name: str, value, kind: str):
@@ -163,20 +161,13 @@ def _check_type(name: str, value, kind: str):
         raise ConfigError(f"'{name}' is too large for a float") from exc
 
 
-def build_run_config(resolved: dict) -> RunConfig:
-    problem = {
-        name: _check_type(f"problem.{name}", value, _PROBLEM_FIELDS[name].type)
-        for name, value in resolved["problem"].items()
-    }
-    fields = {
-        name: _check_type(name, value, _RUN_FIELDS[name].type)
-        for name, value in resolved.items()
-        if name in _RUN_FIELDS and name != "problem"
-    }
+def _derive(config: RunConfig, field: str, value, name: str | None = None) -> RunConfig:
+    """config with one field replaced, which reruns RunConfig's checks;
+    only the new value's JSON type is checked here, under name."""
+    value = _check_type(name or field, value, _RUN_TYPES[field])
     try:
-        spec = ProblemSpec(**problem)
-        return RunConfig(problem=spec, **fields)
-    except (TypeError, ValueError) as exc:
+        return dataclasses.replace(config, **{field: value})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -200,15 +191,6 @@ def _write_json(payload: dict, path: str) -> None:
     write_atomic(path, lambda fh: fh.write(text))
 
 
-def _write_resolved(resolved: dict, output: str) -> None:
-    """Create the output directory and write config.resolved.json into
-    it; a directory that cannot be made or written is a config error."""
-    try:
-        _write_json(resolved, os.path.join(output, "config.resolved.json"))
-    except OSError as exc:
-        raise ConfigError(f"cannot write output directory {output!r}: {exc}") from exc
-
-
 def _error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
@@ -225,30 +207,29 @@ def _run_all(configs: list[RunConfig], jobs: int) -> list[list[TraceRecord]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    resolved = resolve_config(load_config_file(args.config))
+    config, sweep = parse_config(load_config_file(args.config))
     if args.seed is not None:
-        resolved["seed"] = args.seed
+        config = _derive(config, "seed", args.seed)
     if args.no_invariants:
-        resolved["check_invariants"] = False
-    sweep = resolved.get("sweep", {})
-    swept = [(param, sweep[key], name) for param, key, name in _SWEEPS if key in sweep]
+        config = _derive(config, "check_invariants", False)
+    swept = [(param, key, name) for param, key, name in _SWEEPS if key in sweep]
     # every run is built, and so checked, before anything runs or is written
-    config = build_run_config(resolved)
-    runs = [build_run_config({**resolved, p: v}) for p, values, _ in swept for v in values]
-    _write_resolved(resolved, args.output)
+    runs = [_derive(config, param, v, f"sweep.{key}") for param, key, _ in swept
+            for v in sweep[key]]
+    _write_json(resolved_config(config, sweep), os.path.join(args.output, "config.resolved.json"))
     traces = iter(_run_all([config, *runs], args.jobs))
     records = next(traces)
     simulation.write_trace(records, os.path.join(args.output, "trace.csv"))
-    for param, values, name in swept:
+    for param, key, name in swept:
         if param == "n_workers":
             rows = [["n_workers", "iterations_to_threshold"]]
-            for n in values:
+            for n in sweep[key]:
                 norms = [r.grad_norm_sq for r in next(traces)]
                 it = smoothed_threshold_iteration(norms, sweep["threshold"], sweep["window"])
                 rows.append([n, it])
         else:
             rows = [[param, "final_train_loss", "mean_grad_norm_sq"]]
-            for value in values:
+            for value in sweep[key]:
                 s = _summary(next(traces), config)
                 rows.append([value, s["final_train_loss"], s["mean_grad_norm_sq"]])
         write_atomic(os.path.join(args.output, name), lambda fh: csv.writer(fh).writerows(rows))
@@ -272,17 +253,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    resolved = resolve_config(load_config_file(args.config))
+    config, _ = parse_config(load_config_file(args.config))
     if args.seed is not None:
-        resolved["seed"] = args.seed
-    resolved.pop("sweep", None)
+        config = _derive(config, "seed", args.seed)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants names no variant")
     if len(set(variants)) < len(variants):
         raise ConfigError(f"--variants names a variant twice: {args.variants!r}")
-    configs = [build_run_config({**resolved, "variant": v}) for v in variants]
-    _write_resolved(resolved, args.output)
+    configs = [_derive(config, "variant", v) for v in variants]
+    _write_json(resolved_config(config, {}), os.path.join(args.output, "config.resolved.json"))
     traces = _run_all(configs, args.jobs)
     header = ["iter"]
     for variant, records in zip(variants, traces):
@@ -342,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         _error("invariant", str(exc))
         return EXIT_INVARIANT
+    except OSError as exc:  # an output that cannot be written; files already written stay
+        _error("config", f"cannot write output: {exc}")
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -264,6 +264,8 @@ class CountSketch:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CountSketch":
+        if len(data) < 32:
+            raise ValueError(f"expected at least 32 bytes, got {len(data)}")
         rows, cols, seed, dim = struct.unpack_from("<QQQQ", data, 0)
         config = SketchConfig(rows=rows, cols=cols, seed=seed, dim=dim)
         expected = 32 + rows * cols * 8

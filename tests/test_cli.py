@@ -1,11 +1,19 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchgrad import cli
 from sketchgrad.cli import (
@@ -15,14 +23,18 @@ from sketchgrad.cli import (
     EXIT_OK,
     ConfigError,
     main,
-    resolve_config,
+    parse_config,
+    resolved_config,
 )
+from sketchgrad.simulation import ProblemSpec, RunConfig
 
 
 # written unquoted: a JSON number too large for a float, which parses as
-# inf, and an integer longer than Python converts from text
+# inf, an integer longer than Python converts from text, and the
+# non-standard NaN literal
 HUGE = "1e400"
 LONG = "1" + "0" * 5000
+NAN = "NaN"
 
 
 def _no_run(*args, **kwargs):
@@ -31,7 +43,7 @@ def _no_run(*args, **kwargs):
 
 def write_config(path, body):
     text = json.dumps(body)
-    for literal in (HUGE, LONG):
+    for literal in (HUGE, LONG, NAN):
         text = text.replace(f'"{literal}"', literal)
     path.write_text(text)
     return str(path)
@@ -61,18 +73,18 @@ def small_quadratic(**kw):
 
 def test_resolve_rejects_unknown_key():
     with pytest.raises(ConfigError, match="alhpa"):
-        resolve_config({"problem": {"kind": "quadratic", "dim": 5}, "alhpa": 1.0})
+        parse_config({"problem": {"kind": "quadratic", "dim": 5}, "alhpa": 1.0})
     with pytest.raises(ConfigError, match="problem.bogus"):
-        resolve_config({"problem": {"kind": "quadratic", "dim": 5, "bogus": 1}})
+        parse_config({"problem": {"kind": "quadratic", "dim": 5, "bogus": 1}})
     with pytest.raises(ConfigError, match="sweep.thing"):
-        resolve_config({"problem": {"kind": "quadratic", "dim": 5}, "sweep": {"thing": 1}})
+        parse_config({"problem": {"kind": "quadratic", "dim": 5}, "sweep": {"thing": 1}})
 
 
 def test_resolve_requires_problem():
     with pytest.raises(ConfigError, match="problem"):
-        resolve_config({"variant": "ga"})
+        parse_config({"variant": "ga"})
     with pytest.raises(ConfigError, match="kind"):
-        resolve_config({"problem": {"dim": 5}})
+        parse_config({"problem": {"dim": 5}})
 
 
 def test_resolve_preset_and_roundtrip():
@@ -80,13 +92,16 @@ def test_resolve_preset_and_roundtrip():
         "problem": {"kind": "quadratic", "dim": 60000},
         "preset": "small",
         "horizon": 2,
+        "alpha": 1,
     }
-    resolved = resolve_config(raw)
-    assert resolved["rows"] == 5 and resolved["cols"] == 400
-    assert resolved["k"] == 500 and resolved["p_factor"] == 4
+    config, sweep = parse_config(raw)
+    assert (config.rows, config.cols, config.k, config.p_factor) == (5, 400, 500, 4)
+    resolved = resolved_config(config, sweep)
+    assert resolved["alpha"] == 1.0 and isinstance(resolved["alpha"], float)
     # parse -> serialize -> parse is identity
-    again = resolve_config(json.loads(json.dumps(resolved)))
-    assert again == resolved
+    again = parse_config(json.loads(json.dumps(resolved)))
+    assert again == (config, sweep)
+    assert resolved_config(*again) == resolved
 
 
 def test_resolve_preset_override():
@@ -95,16 +110,111 @@ def test_resolve_preset_override():
         "preset": "large",
         "k": 111,
     }
-    resolved = resolve_config(raw)
-    assert resolved["rows"] == 10 and resolved["cols"] == 100000
-    assert resolved["k"] == 111  # explicit key wins over preset
+    config, _ = parse_config(raw)
+    assert config.rows == 10 and config.cols == 100000
+    assert config.k == 111  # explicit key wins over preset
 
 
 def test_resolve_validates_values():
     with pytest.raises(ConfigError):
-        resolve_config(small_quadratic(k=100))  # k > dim
+        parse_config(small_quadratic(k=100))  # k > dim
     with pytest.raises(ConfigError):
-        resolve_config(small_quadratic(variant="adamw"))
+        parse_config(small_quadratic(variant="adamw"))
+
+
+# JSON values that break configs: zero, negatives, an integer too large
+# for a float, the unquoted 1e400 and NaN, and every JSON type; plus the
+# names of the variants, problems, partitions and presets, so that some
+# drawn configs are valid and reach the run
+_names = ["ga", "pa", "dense_sgd", "quadratic", "logreg", "iid", "label_skew", "small", "x"]
+_atoms = st.one_of(
+    st.sampled_from([0, -1, 10**400, HUGE, NAN, True, False, None, 1, 2, 4, 2000, 0.5]),
+    st.sampled_from(_names),
+    st.integers(-3, 64),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.text(max_size=3),
+)
+_junk_keys = st.sampled_from(["alhpa", "bogus", "", "Problem", "trace_path"])
+_values = st.recursive(
+    _atoms,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_junk_keys, inner, max_size=2),
+    max_leaves=6,
+)
+
+
+# values of each field annotation's JSON type, valid more often than not
+_typed_values = {"int": st.integers(1, 4), "float": st.sampled_from([0.5, 1, 2.0]),
+                 "str": st.sampled_from(_names), "bool": st.booleans(),
+                 "list": st.lists(st.integers(1, 4), max_size=3)}
+
+
+def _rarely(draw):
+    # a middle value: generation favours the ends of a range
+    return draw(st.sampled_from(range(8))) == 3
+
+
+def _object(draw, types, junk):
+    """A JSON object whose keys are drawn from types, rarely with a junk
+    key; a known key mostly gets a value of its own JSON type."""
+    body = {key: draw(_values if _rarely(draw) else _typed_values[types[key]])
+            for key in draw(st.lists(st.sampled_from(list(types)), unique=True))}
+    if _rarely(draw):
+        body[junk] = draw(_values)
+    return body
+
+
+@st.composite
+def _configs(draw):
+    run_types = {f.name: f.type for f in dataclasses.fields(RunConfig) if f.name != "problem"}
+    body = _object(draw, {**run_types, "preset": "str"}, "alhpa")
+    if not _rarely(draw):
+        problem = {"kind": draw(st.sampled_from(["quadratic", "logreg"])),
+                   "dim": draw(st.sampled_from([40, 2000, 10**400]))}
+        problem.update(_object(draw, {f.name: f.type for f in dataclasses.fields(ProblemSpec)},
+                               "bogus"))
+        body["problem"] = draw(_values) if _rarely(draw) else problem
+    if draw(st.booleans()):
+        body["sweep"] = _object(draw, cli._SWEEP_KEYS, "thing")
+    return body
+
+
+class _Reached(Exception):
+    """Raised in place of the runs: the config was accepted."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_configs())
+@example({"problem": {"kind": "quadratic", "dim": 40}, "alpha": 1, "k": 2, "rows": 3,
+          "sweep": {"k_values": [1, 2], "alphas": [1], "worker_counts": [1], "threshold": 3}})
+@example({"problem": {"kind": "logreg", "dim": 20, "class_spread": 0}, "preset": "small",
+          "variant": "dense_sgd", "partition_mode": "label_skew", "skew_param": 0.5})
+@example({"problem": {"kind": "quadratic", "dim": 40}, "preset": ["small"]})
+def test_any_json_config_runs_or_is_one_config_error(body):
+    # every config either reaches the runs, with a config.resolved.json
+    # that resolves to itself, or exits 2 with one JSON line and no output
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp) / "c.json", body)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with mock.patch.object(cli, "_run_all", _reached), contextlib.redirect_stderr(err):
+            try:
+                rc = main(["run", cfg, "-o", out])
+            except _Reached:
+                rc = None
+        if rc is None:
+            with open(os.path.join(out, "config.resolved.json")) as fh:
+                resolved = json.load(fh)
+            assert resolved_config(*parse_config(resolved)) == resolved
+            assert err.getvalue() == ""
+        else:
+            assert rc == EXIT_CONFIG
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+            assert not os.path.exists(out)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -194,6 +304,29 @@ def test_unusable_output_is_config_error(tmp_path, capsys, monkeypatch, command)
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "config" and str(out) in error["detail"]
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [(["run"], "trace.csv"), (["run"], "speedup.csv"), (["run"], "summary.json"),
+     (["compare", "--variants", "ga,pa"], "pa.trace.csv"),
+     (["compare", "--variants", "ga,pa"], "joined.csv")],
+    ids=["run-trace", "run-speedup", "run-summary", "compare-trace", "compare-joined"],
+)
+def test_unwritable_output_after_runs_is_config_error(tmp_path, capsys, command, target):
+    # an output that is already a directory once ended in an
+    # IsADirectoryError traceback after every run had finished
+    body = small_quadratic(sweep={"worker_counts": [1, 2], "threshold": 1e9})
+    cfg = write_config(tmp_path / "c.json", body)
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    assert main([command[0], cfg, "-o", str(out), *command[1:]]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and str(out / target) in error["detail"]
+    assert (out / "config.resolved.json").exists()  # files already written stay
+    assert list(out.rglob("*.tmp")) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -293,6 +426,8 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "logreg", "dim": 20, "class_spread": 10**400}},
         {"problem": {"kind": "quadratic", "dim": 20, "condition_number": 10**400}},
         {"problem": {"kind": "quadratic", "dim": 20}, "alpha": LONG},
+        # a preset that is not a string once ended in a TypeError traceback
+        {"problem": {"kind": "quadratic", "dim": 20}, "preset": ["small"]},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):

@@ -1,5 +1,5 @@
-"""Property tests for the sparse sketch operator, the top-m selection
-and the fused full-batch evaluation.
+"""Property tests for the sparse sketch operator, its wire format, the
+top-m selection and the fused full-batch evaluation.
 
 Each property compares the fast path against a plain reference: a
 sorted() ranking, a loop of accumulate(), a worker-order sum of
@@ -112,6 +112,25 @@ def test_merged_sketch_sums_workers_in_order(cfg, n, data):
     want.table /= n
     merged = _merged_sketch(vecs, ProtocolConfig(k=1, p_factor=1, sketch=cfg))
     assert np.array_equal(bits(merged.table), bits(want.table))
+
+
+# wire-format cells: both signed zeros, subnormals and the largest magnitudes
+wire_cells = st.one_of(
+    values, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308])
+)
+
+
+@SETTINGS
+@given(configs, st.data())
+def test_wire_format_round_trips_bit_for_bit(cfg, data):
+    cells = data.draw(st.lists(wire_cells, min_size=cfg.size, max_size=cfg.size))
+    blob = CountSketch(cfg, np.reshape(cells, (cfg.rows, cfg.cols))).to_bytes()
+    back = CountSketch.from_bytes(blob)
+    # byte equality checks the sign of every zero, which == would not
+    assert back.config == cfg and back.to_bytes() == blob
+    for wrong in [blob[:end] for end in range(len(blob))] + [blob + b"\0"]:
+        with pytest.raises(ValueError, match=f"got {len(wrong)}"):
+            CountSketch.from_bytes(wrong)
 
 
 @pytest.mark.parametrize("rows", range(1, 11))

@@ -275,9 +275,11 @@ def test_serialization_roundtrip(cfg):
 
 
 def test_serialization_truncated():
-    sk = CountSketch(SketchConfig(rows=2, cols=4, seed=1, dim=8))
-    with pytest.raises(ValueError):
-        CountSketch.from_bytes(sk.to_bytes()[:-8])
+    # a buffer shorter than the 32-byte header once raised struct.error
+    blob = CountSketch(SketchConfig(rows=2, cols=4, seed=1, dim=8)).to_bytes()
+    for data in (blob[:-8], b"", blob[:31]):
+        with pytest.raises(ValueError, match=f"got {len(data)}"):
+            CountSketch.from_bytes(data)
 
 
 def test_table_shape_mismatch(cfg):
