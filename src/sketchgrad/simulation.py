@@ -12,7 +12,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -32,8 +31,6 @@ from .optimizers import (
 )
 from .sketch import SketchConfig
 
-logger = logging.getLogger(__name__)
-
 SHADOW_GAP_TOL = 1e-9
 
 
@@ -41,22 +38,41 @@ class InvariantViolation(RuntimeError):
     """A runtime invariant check failed during a run."""
 
 
+# Bytes of gathered feature rows per block of the batched logistic
+# regression gradient, so that a block's gather stays in cache. In 60k
+# logreg runs (8 workers x 32 rows of 6000 features, 2 vCPUs), one
+# unblocked 12 MB gather took the worker gradients from 4.0 to 5.1 ms
+# per iteration, though alone in a tight loop it was the faster one.
+GATHER_BUDGET = 1 << 20
+
+
 @dataclass
 class Problem:
     """A differentiable objective.
 
-    ``loss(x, batch)`` and ``gradient(x, batch)`` take an optional array
-    of sample indices; ``batch=None`` means the full objective.
-    ``evaluate(x)`` returns ``(loss(x, None), gradient(x, None))``, bit
-    for bit, from one shared pass: for logistic regression it computes
-    the logits over the whole dataset once, not twice. Problems with
-    ``n_samples == 0`` have no dataset; their stochasticity comes from
-    additive gradient noise drawn by the harness with ``noise_std``.
+    ``evaluate(x)`` returns the full objective's loss and gradient from
+    one shared pass: for logistic regression it computes the logits over
+    the whole dataset once, not twice. ``loss(x)`` is its loss alone.
+
+    ``gradient(x, batches, out=None)`` returns every worker's minibatch
+    gradient from one call. ``batches`` is an ``(n, b)`` array of sample
+    indices, and row i of the ``(n, dim)`` result (``out``, when given)
+    is the mean gradient over row i's samples; one batch is the n = 1
+    case. Logistic regression works through the workers in blocks of m
+    whose gathered feature rows (m * b rows of 8-byte features) fit in
+    GATHER_BUDGET bytes; a block holds at least one worker. Each block is
+    one gather, one batched logits product, one softmax and one batched
+    ``np.matmul``, which give each row the same bits as that worker's own
+    ``probs.T @ features[batch] / b``.
+
+    Problems with ``n_samples == 0`` have no dataset: ``gradient(x)``
+    is the full gradient, and their stochasticity comes from additive
+    gradient noise drawn by the harness with ``noise_std``.
     """
 
     dim: int
-    loss: Callable[[np.ndarray, np.ndarray | None], float]
-    gradient: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
+    loss: Callable[[np.ndarray], float]
+    gradient: Callable[..., np.ndarray]
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     n_samples: int = 0
     labels: np.ndarray | None = None
@@ -89,10 +105,10 @@ def make_quadratic(
         g = eigs * r
         return float(0.5 * np.dot(r, g)), g
 
-    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
+    def loss(x: np.ndarray) -> float:
         return evaluate(x)[0]
 
-    def gradient(x: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
+    def gradient(x: np.ndarray) -> np.ndarray:
         return eigs * (x - x_star)
 
     return Problem(
@@ -132,34 +148,52 @@ def make_logreg(
     rng.shuffle(labels)
     features = centers[labels] + rng.standard_normal((n_samples, n_features))
 
-    def _softmax(x: np.ndarray, batch: np.ndarray | None) -> tuple[np.ndarray, ...]:
-        """The batch's features and labels, its max-shifted logits, their
-        exps and the exps' row sums; batch None is the whole dataset."""
-        xb, yb = (features, labels) if batch is None else (features[batch], labels[batch])
-        logits = xb @ x.reshape(n_classes, n_features).T
+    rows = np.arange(n_samples)
+
+    def _softmax(x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The dataset's max-shifted logits, their exps and the exps' row sums."""
+        logits = features @ x.reshape(n_classes, n_features).T
         logits = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(logits)
-        return xb, yb, logits, exps, exps.sum(axis=1)
+        return logits, exps, exps.sum(axis=1)
 
-    def _loss(yb: np.ndarray, logits: np.ndarray, sums: np.ndarray) -> float:
-        return float(np.mean(np.log(sums) - logits[np.arange(len(yb)), yb]))
+    def _loss(logits: np.ndarray, sums: np.ndarray) -> float:
+        return float(np.mean(np.log(sums) - logits[rows, labels]))
 
-    def _gradient(xb: np.ndarray, yb: np.ndarray, exps: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
-        probs[np.arange(len(yb)), yb] -= 1.0
-        return (probs.T @ xb / len(yb)).reshape(dim)
-
-    def loss(x: np.ndarray, batch: np.ndarray | None = None) -> float:
-        _, yb, logits, _, sums = _softmax(x, batch)
-        return _loss(yb, logits, sums)
-
-    def gradient(x: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
-        xb, yb, _, exps, sums = _softmax(x, batch)
-        return _gradient(xb, yb, exps, sums)
+    def loss(x: np.ndarray) -> float:
+        logits, _, sums = _softmax(x)
+        return _loss(logits, sums)
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        xb, yb, logits, exps, sums = _softmax(x, None)
-        return _loss(yb, logits, sums), _gradient(xb, yb, exps, sums)
+        logits, exps, sums = _softmax(x)
+        probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
+        probs[rows, labels] -= 1.0
+        return _loss(logits, sums), (probs.T @ features / n_samples).reshape(dim)
+
+    def gradient(x: np.ndarray, batches: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        n, b = batches.shape
+        if out is None:
+            out = np.empty((n, dim))
+        w_t = x.reshape(n_classes, n_features).T
+        per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
+        for lo in range(0, n, per_block):
+            idx = batches[lo : lo + per_block].ravel()
+            m = idx.shape[0] // b
+            xb = features[idx].reshape(m, b, n_features)
+            # one product per worker: one (m*b, F) product crosses OpenBLAS's
+            # small-matrix cutoff at some shapes and sums in another order
+            logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
+            logits -= logits.max(axis=1, keepdims=True)
+            exps = np.exp(logits, out=logits)
+            probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
+            probs[np.arange(m * b), labels[idx]] -= 1.0
+            np.matmul(
+                probs.reshape(m, b, n_classes).transpose(0, 2, 1),
+                xb,
+                out=out[lo : lo + m].reshape(m, n_classes, n_features),
+            )
+        out /= b
+        return out
 
     problem = Problem(
         dim=dim,
@@ -359,21 +393,11 @@ def _draw_noise(seed: int, t: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sampled_gradients(
-    problem: Problem,
-    x: np.ndarray,
-    shards: list[np.ndarray],
-    config: RunConfig,
-    t: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Fill row i of the (n, dim) array out with worker i's minibatch gradient."""
-    for i in range(config.n_workers):
-        rng = _worker_rng(config.seed, t, i)
-        shard = shards[i]
-        batch = shard[rng.integers(0, shard.shape[0], size=config.batch_size)]
-        out[i] = problem.gradient(x, batch)
-    return out
+def _draw_batches(shards: list[np.ndarray], seed: int, t: int, out: np.ndarray) -> None:
+    """Fill row i of the (n, b) array out with worker i's minibatch sample
+    indices for iteration t, drawn from worker i's own stream."""
+    for i, shard in enumerate(shards):
+        out[i] = shard[_worker_rng(seed, t, i).integers(0, shard.shape[0], size=out.shape[1])]
 
 
 def _check_step_invariants(
@@ -404,11 +428,12 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     warnings.
     """
     problem = build_problem(config.problem, config.seed)
-    shards = None
+    shards = batches = None
     if problem.n_samples > 0:
         shards = partition_data(
             problem.labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
         )
+        batches = np.empty((config.n_workers, config.batch_size), dtype=np.int64)
     params = config.hyper()
     proto = config.protocol() if config.variant in SKETCHED else None
     state = OptimizerState.initial(
@@ -418,7 +443,6 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     noise = np.empty_like(grads) if problem.n_samples == 0 and problem.noise_std > 0.0 else None
     noise_scale = problem.noise_std / math.sqrt(config.batch_size)
     records: list[TraceRecord] = []
-    grad_inf_max = 0.0
     # a noisy problem's helper draws the next iteration's noise while this
     # one steps: the draws do not depend on the iterate. The helper's thread
     # starts at its first submit, so other problems start none.
@@ -426,10 +450,11 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
         drawing = None
         for t in range(1, config.horizon + 1):
             if shards is not None:
-                _sampled_gradients(problem, state.x, shards, config, t, grads)
+                _draw_batches(shards, config.seed, t, batches)
+                problem.gradient(state.x, batches, grads)
             else:
                 # every worker gets the one full gradient, plus its own noise
-                full = problem.gradient(state.x, None)
+                full = problem.gradient(state.x)
                 if noise is None:
                     grads[:] = full
                 else:
@@ -442,7 +467,6 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                     if t < config.horizon:
                         drawing = helper.submit(_draw_noise, config.seed, t + 1, noise)
                     grads += full
-            grad_inf_max = max(grad_inf_max, float(grads.max()), -float(grads.min()))
             check = config.check_invariants and state.v_hat is not None
             prev_v_hat = state.v_hat.copy() if check else None
             diag = step(state, grads, params, proto, t)
@@ -461,8 +485,6 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                     compression_rate=rate, **vars(diag),
                 )
             )
-    # bounded-gradient constant of the run, reported for reference
-    logger.info("max worker gradient inf-norm over run: %.6g", grad_inf_max)
     return state.x, records
 
 

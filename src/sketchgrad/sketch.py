@@ -78,25 +78,9 @@ def _cell_hash(config: SketchConfig, row: int, indices: np.ndarray) -> np.ndarra
     return _mix64(spread ^ np.uint64(_row_key(config, row)))
 
 
-def _check_row_index(config: SketchConfig, row: int, index: int) -> None:
-    if not 0 <= row < config.rows:
-        raise ValueError(f"row {row} out of range [0, {config.rows})")
+def _check_index(config: SketchConfig, index: int) -> None:
     if not 0 <= index < config.dim:
         raise ValueError(f"index {index} out of range [0, {config.dim})")
-
-
-def bucket_hash(config: SketchConfig, row: int, index: int) -> int:
-    """Bucket in [0, cols) for a coordinate in one row."""
-    _check_row_index(config, row, index)
-    h = _cell_hash(config, row, np.array([index], dtype=np.uint64))[0]
-    return int(h >> np.uint64(32)) % config.cols
-
-
-def sign_hash(config: SketchConfig, row: int, index: int) -> int:
-    """Sign in {-1, +1} for a coordinate in one row."""
-    _check_row_index(config, row, index)
-    h = _cell_hash(config, row, np.array([index], dtype=np.uint64))[0]
-    return 1 if (int(h) & 1) == 0 else -1
 
 
 @lru_cache(maxsize=2)
@@ -221,7 +205,7 @@ class CountSketch:
 
         Zero-valued updates are no-ops (identical table, less work).
         """
-        _check_row_index(self.config, 0, index)
+        _check_index(self.config, index)
         if not np.isfinite(value):
             raise ValueError(f"value must be finite, got {value}")
         if value == 0.0:
@@ -234,7 +218,7 @@ class CountSketch:
     def estimate(self, index: int) -> float:
         """Median-of-rows point query for one coordinate; bit-identical to
         estimate_all()[index], since both take the same median."""
-        _check_row_index(self.config, 0, index)
+        _check_index(self.config, index)
         cells, signs = _cells(self.config)
         vals = signs[index] * self.table.reshape(-1)[cells[index]]
         return float(_median_of_rows(vals[:, None])[0])

@@ -51,11 +51,11 @@ def test_criterion_1_ga_matches_dense_oracle():
     dense = OptimizerState.initial("dense_amsgrad", np.zeros(d), hp)
     worst = 0.0
     for t in range(1, T + 1):
-        grads = []
+        batches = np.empty((n, 32), dtype=np.int64)
         for i in range(n):
             rng = np.random.default_rng(np.random.SeedSequence([101, t, i]))
-            batch = shards[i][rng.integers(0, len(shards[i]), 32)]
-            grads.append(problem.gradient(ga.x, batch))
+            batches[i] = shards[i][rng.integers(0, len(shards[i]), 32)]
+        grads = problem.gradient(ga.x, batches)
         step(ga, grads, hp, cfg, t)
         step(dense, grads, hp, None, t)
         worst = max(worst, float(np.max(np.abs(ga.x - dense.x))))

@@ -3,8 +3,8 @@ top-m selection and the fused full-batch evaluation.
 
 Each property compares the fast path against a plain reference: a
 sorted() ranking, a loop of accumulate(), a worker-order sum of
-per-worker sketches, np.median over the rows, and the separate full-batch
-loss and gradient.
+per-worker sketches, np.median over the rows, and the loss alone and the
+blocked minibatch gradient over the whole dataset as one batch.
 """
 
 import itertools
@@ -19,9 +19,8 @@ from sketchgrad.simulation import make_logreg, make_quadratic
 from sketchgrad.sketch import (
     CountSketch,
     SketchConfig,
+    _cells,
     _median_of_rows,
-    bucket_hash,
-    sign_hash,
     sketch_rows,
     sketch_vector,
     top_m,
@@ -156,10 +155,10 @@ def test_estimate_all_matches_median_reference(cfg, data):
     cell = data.draw(st.sampled_from([values, ties]))
     cells = data.draw(st.lists(cell, min_size=cfg.size, max_size=cfg.size))
     sk = CountSketch(cfg, np.array(cells).reshape(cfg.rows, cfg.cols))
+    cells, signs = _cells(cfg)
+    flat = sk.table.reshape(-1)
     ref = [
-        np.median(
-            [sign_hash(cfg, j, i) * sk.table[j, bucket_hash(cfg, j, i)] for j in range(cfg.rows)]
-        )
+        np.median([signs[i, j] * flat[cells[i, j]] for j in range(cfg.rows)])
         for i in range(cfg.dim)
     ]
     # median and the comparator network may return different signs of zero
@@ -180,8 +179,13 @@ def test_sketch_rows_rejects_bad_input(bad):
 
 def assert_evaluate_is_loss_and_gradient(problem, x):
     loss, grad = problem.evaluate(x)
-    assert loss == problem.loss(x, None)
-    assert np.array_equal(bits(grad), bits(problem.gradient(x, None)))
+    assert loss == problem.loss(x)
+    if problem.n_samples == 0:
+        full = problem.gradient(x)
+    else:
+        # the whole dataset as one worker's batch, through the blocked path
+        full = problem.gradient(x, np.arange(problem.n_samples)[None])[0]
+    assert np.array_equal(bits(grad), bits(full))
 
 
 @SETTINGS

@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import math
 import os
 import threading
@@ -9,6 +8,7 @@ import pytest
 
 from sketchgrad.optimizers import NumericError
 from sketchgrad.simulation import (
+    GATHER_BUDGET,
     InvariantViolation,
     ProblemSpec,
     RunConfig,
@@ -22,7 +22,7 @@ from sketchgrad.simulation import (
 )
 
 
-def finite_difference_gradient(loss, x, batch=None):
+def finite_difference_gradient(loss, x):
     """Central differences with per-coordinate step 1e-6 * (1 + |x_i|)."""
     out = np.zeros_like(x)
     for i in range(x.shape[0]):
@@ -30,8 +30,26 @@ def finite_difference_gradient(loss, x, batch=None):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        out[i] = (loss(xp, batch) - loss(xm, batch)) / (2.0 * h)
+        out[i] = (loss(xp) - loss(xm)) / (2.0 * h)
     return out
+
+
+def reference_logreg_loss(features, labels, x, batch):
+    """Mean cross-entropy of one batch of samples, computed alone."""
+    xb, yb = features[batch], labels[batch]
+    logits = xb @ x.reshape(-1, xb.shape[1]).T
+    logits = logits - logits.max(axis=1, keepdims=True)
+    return float(np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(len(yb)), yb]))
+
+
+def reference_logreg_gradient(features, labels, x, batch):
+    """One worker's minibatch gradient probs.T @ X[batch] / b, computed alone."""
+    xb, yb = features[batch], labels[batch]
+    logits = xb @ x.reshape(-1, xb.shape[1]).T
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exps / exps.sum(axis=1)[:, None]
+    probs[np.arange(len(yb)), yb] -= 1.0
+    return (probs.T @ xb / len(yb)).reshape(-1)
 
 
 # ---------------------------------------------------------------- problems
@@ -41,25 +59,25 @@ def test_quadratic_at_optimum():
     prob = make_quadratic(10, condition_number=25.0, seed=0)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(10)
-    g = prob.gradient(x, None)
+    g = prob.gradient(x)
     x_star = x - g / np.logspace(0, math.log10(25.0), 10)  # invert the diagonal
-    assert prob.loss(x_star, None) == pytest.approx(0.0, abs=1e-20)
-    assert np.allclose(prob.gradient(x_star, None), 0.0, atol=1e-12)
+    assert prob.loss(x_star) == pytest.approx(0.0, abs=1e-20)
+    assert np.allclose(prob.gradient(x_star), 0.0, atol=1e-12)
 
 
 def test_quadratic_identity_condition():
     prob = make_quadratic(6, condition_number=1.0, seed=3)
     x = np.random.default_rng(2).standard_normal(6)
-    g = prob.gradient(x, None)
+    g = prob.gradient(x)
     # A = I, so the gradient drop recovers x_star and loss is 0.5*|g|^2
-    assert prob.loss(x, None) == pytest.approx(0.5 * float(np.dot(g, g)), rel=1e-12)
+    assert prob.loss(x) == pytest.approx(0.5 * float(np.dot(g, g)), rel=1e-12)
 
 
 def test_quadratic_finite_differences():
     prob = make_quadratic(8, condition_number=10.0, seed=5)
     x = np.random.default_rng(6).standard_normal(8)
     fd = finite_difference_gradient(prob.loss, x)
-    an = prob.gradient(x, None)
+    an = prob.gradient(x)
     assert np.max(np.abs(fd - an)) / max(1.0, np.max(np.abs(an))) <= 1e-6
 
 
@@ -77,18 +95,18 @@ def test_quadratic_validation():
 def test_logreg_uniform_loss_at_zero():
     for c in (2, 5, 10):
         prob, _ = make_logreg(120, dim=c * 3, n_classes=c, seed=7)
-        assert prob.loss(np.zeros(c * 3), None) == pytest.approx(math.log(c), rel=1e-12)
+        assert prob.loss(np.zeros(c * 3)) == pytest.approx(math.log(c), rel=1e-12)
 
 
 def test_logreg_finite_differences():
-    prob, _ = make_logreg(60, dim=12, n_classes=3, seed=8)
+    prob, (X, y) = make_logreg(60, dim=12, n_classes=3, seed=8)
     x = 0.3 * np.random.default_rng(9).standard_normal(12)
     fd = finite_difference_gradient(prob.loss, x)
-    an = prob.gradient(x, None)
+    an = prob.evaluate(x)[1]
     assert np.max(np.abs(fd - an)) / max(1.0, np.max(np.abs(an))) <= 1e-5
     batch = np.array([0, 5, 17])
-    fd_b = finite_difference_gradient(prob.loss, x, batch)
-    an_b = prob.gradient(x, batch)
+    fd_b = finite_difference_gradient(lambda z: reference_logreg_loss(X, y, z, batch), x)
+    an_b = prob.gradient(x, batch[None])[0]
     assert np.max(np.abs(fd_b - an_b)) / max(1.0, np.max(np.abs(an_b))) <= 1e-5
 
 
@@ -97,13 +115,38 @@ def test_logreg_single_sample_hand_gradient():
     # grad_w0 = (p0 - 1[y=0]) z
     prob, (X, y) = make_logreg(2, dim=2, n_classes=2, seed=10)
     x = np.array([0.7, -0.2])
-    batch = np.array([0])
+    batches = np.array([[0]])
     z = X[0, 0]
     logits = np.array([x[0] * z, x[1] * z])
     p = np.exp(logits - logits.max())
     p /= p.sum()
     expect = np.array([(p[0] - (y[0] == 0)) * z, (p[1] - (y[0] == 1)) * z])
-    assert np.allclose(prob.gradient(x, batch), expect, rtol=1e-12, atol=1e-12)
+    assert np.allclose(prob.gradient(x, batches)[0], expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_features, n_workers, batch_size, workers_per_block",
+    [
+        (5, 10, 8, 10),  # the criterion-7 shape (dim 50): one block
+        (6000, 3, 32, 1),  # dim 60k: one worker per block
+        (2048, 5, 32, 2),  # blocks of 2, 2 and 1
+    ],
+)
+def test_blocked_logreg_gradient_is_bit_equal_to_per_worker(
+    n_features, n_workers, batch_size, workers_per_block
+):
+    per_block = max(1, GATHER_BUDGET // (batch_size * n_features * 8))
+    assert min(per_block, n_workers) == workers_per_block
+    prob, (X, y) = make_logreg(200, dim=10 * n_features, n_classes=10, seed=11)
+    rng = np.random.default_rng(12)
+    for scale in (0.01, 1.0, 30.0):
+        x = scale * rng.standard_normal(prob.dim)
+        batches = rng.integers(0, 200, size=(n_workers, batch_size))
+        out = np.empty((n_workers, prob.dim))
+        assert prob.gradient(x, batches, out) is out
+        ref = np.array([reference_logreg_gradient(X, y, x, batch) for batch in batches])
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
 
 
 def test_logreg_validation():
@@ -229,14 +272,12 @@ def test_run_reproducible_bitwise():
     assert ra == rb
 
 
-def test_run_invariant_checks_enabled(caplog):
+def test_run_invariant_checks_enabled():
     spec = ProblemSpec(kind="quadratic", dim=25, condition_number=5.0, noise_std=1.0)
     cfg = RunConfig(problem=spec, variant="ga", alpha=0.1, epsilon=1e-4, horizon=30,
                     n_workers=3, k=4, p_factor=4, rows=3, cols=16, batch_size=4,
                     seed=5, check_invariants=True)
-    with caplog.at_level(logging.INFO, logger="sketchgrad.simulation"):
-        _, records = run(cfg)
-    assert any("inf-norm" in m for m in caplog.messages)
+    _, records = run(cfg)
     assert max(r.shadow_gap for r in records) <= 1e-9
 
 
@@ -295,10 +336,10 @@ def test_numeric_error_mid_run_stops_the_noise_helper(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
 def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
-    # per iteration, one fused evaluate and the workers' gradients: n
-    # minibatch gradients for logreg, and for the quadratic one full
-    # gradient that every worker shares; the trace must not go back to
-    # separate full-batch loss and gradient calls
+    # per iteration, one fused evaluate and one call for the workers'
+    # gradients: all n minibatch gradients for logreg, and for the quadratic
+    # one full gradient that every worker shares; the trace must not go back
+    # to separate full-batch loss and gradient calls
     import sketchgrad.simulation as sim
 
     calls = {"worker_gradient": 0, "full_gradient": 0, "loss": 0, "evaluate": 0}
@@ -308,15 +349,15 @@ def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
         problem = build(spec, seed)
         gradient, loss, evaluate = problem.gradient, problem.loss, problem.evaluate
 
-        def counted_gradient(x, batch=None):
-            # quadratic workers have no dataset and pass batch None
-            full = batch is None and problem.n_samples > 0
+        def counted_gradient(x, *args):
+            # quadratic workers have no dataset and pass no batches
+            full = not args and problem.n_samples > 0
             calls["full_gradient" if full else "worker_gradient"] += 1
-            return gradient(x, batch)
+            return gradient(x, *args)
 
-        def counted_loss(x, batch=None):
+        def counted_loss(x):
             calls["loss"] += 1
-            return loss(x, batch)
+            return loss(x)
 
         def counted_evaluate(x):
             calls["evaluate"] += 1
@@ -333,8 +374,7 @@ def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
                     p_factor=2, rows=3, cols=8, batch_size=4, seed=2)
     _, records = run(cfg)
     assert len(records) == 7
-    workers = 1 if kind == "quadratic" else 3
-    assert calls == {"worker_gradient": workers * 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
+    assert calls == {"worker_gradient": 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
 
 
 def test_dense_amsgrad_loss_decreasing_after_burn_in():
@@ -350,14 +390,13 @@ def test_gradient_unbiasedness_iid():
     prob, (X, y) = make_logreg(240, dim=20, n_classes=4, seed=3)
     shards = partition_data(y, 4, "iid", seed=3)
     x = 0.1 * np.random.default_rng(4).standard_normal(20)
-    full = prob.gradient(x, None)
+    full = prob.evaluate(x)[1]
     draws = []
     rng = np.random.default_rng(5)
     for _ in range(2500):
-        for shard in shards:
-            batch = shard[rng.integers(0, len(shard), 16)]
-            draws.append(prob.gradient(x, batch))
-    draws = np.asarray(draws)
+        batches = np.array([shard[rng.integers(0, len(shard), 16)] for shard in shards])
+        draws.append(prob.gradient(x, batches))
+    draws = np.concatenate(draws)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
 

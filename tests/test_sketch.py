@@ -5,10 +5,10 @@ from sketchgrad.sketch import (
     CountSketch,
     IncompatibleSketchError,
     SketchConfig,
-    bucket_hash,
+    _cells,
+    _operator,
     merge,
     scale,
-    sign_hash,
     sketch_vector,
     top_m,
 )
@@ -31,32 +31,34 @@ def test_config_validation():
 
 
 def test_hash_determinism(cfg):
-    assert bucket_hash(cfg, 0, 0) == bucket_hash(cfg, 0, 0)
-    assert sign_hash(cfg, 0, 0) == sign_hash(cfg, 0, 0)
+    cells, signs = (a.copy() for a in _cells(cfg))
+    _operator.cache_clear()  # rebuild the cells from the hashes
     twin = SketchConfig(rows=5, cols=50, seed=1234, dim=100)
-    assert [bucket_hash(cfg, r, i) for r in range(5) for i in range(100)] == [
-        bucket_hash(twin, r, i) for r in range(5) for i in range(100)
-    ]
+    twin_cells, twin_signs = _cells(twin)
+    assert np.array_equal(cells, twin_cells)
+    assert np.array_equal(signs, twin_signs)
 
 
 def test_single_bucket_config():
     cfg = SketchConfig(rows=3, cols=1, seed=9, dim=20)
-    assert all(bucket_hash(cfg, r, i) == 0 for r in range(3) for i in range(20))
+    cells, _ = _cells(cfg)
+    # row j's one bucket is flat cell j
+    assert np.array_equal(cells, np.broadcast_to(np.arange(3), (20, 3)))
 
 
 def test_sign_codomain_exhaustive():
     cfg = SketchConfig(rows=4, cols=8, seed=77, dim=64)
-    values = {sign_hash(cfg, r, i) for r in range(4) for i in range(64)}
-    assert values <= {-1, 1}
+    _, signs = _cells(cfg)
+    assert set(signs.ravel().tolist()) <= {-1.0, 1.0}
 
 
-def test_hash_range_errors(cfg):
-    with pytest.raises(ValueError):
-        bucket_hash(cfg, 5, 0)
-    with pytest.raises(ValueError):
-        bucket_hash(cfg, 0, 100)
-    with pytest.raises(ValueError):
-        sign_hash(cfg, -1, 0)
+def test_index_range_errors(cfg):
+    sk = CountSketch(cfg)
+    for index in (-1, 100):
+        with pytest.raises(ValueError):
+            sk.accumulate(index, 1.0)
+        with pytest.raises(ValueError):
+            sk.estimate(index)
 
 
 def test_accumulate_zero_is_noop(cfg):
@@ -77,9 +79,9 @@ def test_accumulate_touches_r_cells(cfg):
     sk = CountSketch(cfg)
     sk.accumulate(11, 1.0)
     assert int(np.count_nonzero(sk.table)) == cfg.rows
+    cells, signs = _cells(cfg)
     for j in range(cfg.rows):
-        b = bucket_hash(cfg, j, 11)
-        assert sk.table[j, b] == sign_hash(cfg, j, 11) * 1.0
+        assert sk.table.reshape(-1)[cells[11, j]] == signs[11, j] * 1.0
 
 
 def test_single_item_estimate_exact(cfg):
@@ -197,9 +199,10 @@ def test_estimate_even_rows_uses_middle_mean():
     # estimate must be their mean
     cfg = SketchConfig(rows=2, cols=4, seed=3, dim=8)
     sk = CountSketch(cfg)
+    cells, signs = _cells(cfg)
     readings = []
     for j in range(2):
-        sk.table[j, bucket_hash(cfg, j, 0)] = sign_hash(cfg, j, 0) * (1.0 + j)
+        sk.table.reshape(-1)[cells[0, j]] = signs[0, j] * (1.0 + j)
         readings.append(1.0 + j)
     assert sk.estimate(0) == pytest.approx(np.mean(readings), abs=0)
 
