@@ -199,7 +199,7 @@ def _run_all(configs: list[RunConfig], jobs: int) -> list[list[TraceRecord]]:
     """Run every config, up to jobs at a time, and return the traces in
     config order. The first failure in that order is raised; runs not yet
     started are cancelled."""
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs))
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
     try:
         return [records for _, records in pool.map(run, configs)]
     finally:
@@ -312,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConfigError as exc:
         _error("config", str(exc))

@@ -52,7 +52,7 @@ class Problem:
 
     ``evaluate(x)`` returns the full objective's loss and gradient from
     one shared pass: for logistic regression it computes the logits over
-    the whole dataset once, not twice. ``loss(x)`` is its loss alone.
+    the whole dataset once, not twice.
 
     ``gradient(x, batches, out=None)`` returns every worker's minibatch
     gradient from one call. ``batches`` is an ``(n, b)`` array of sample
@@ -71,12 +71,14 @@ class Problem:
     """
 
     dim: int
-    loss: Callable[[np.ndarray], float]
     gradient: Callable[..., np.ndarray]
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     n_samples: int = 0
     labels: np.ndarray | None = None
     noise_std: float = 0.0
+
+    def loss(self, x: np.ndarray) -> float:
+        return self.evaluate(x)[0]
 
 
 def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> None:
@@ -105,27 +107,24 @@ def make_quadratic(
         g = eigs * r
         return float(0.5 * np.dot(r, g)), g
 
-    def loss(x: np.ndarray) -> float:
-        return evaluate(x)[0]
-
     def gradient(x: np.ndarray) -> np.ndarray:
         return eigs * (x - x_star)
 
     return Problem(
         dim=dim,
-        loss=loss,
         gradient=gradient,
         evaluate=evaluate,
         noise_std=noise_std,
     )
 
 
-def _check_logreg(n_samples: int, dim: int, n_classes: int, class_spread: float) -> None:
-    if not math.isfinite(class_spread):
-        raise ValueError(f"class_spread must be finite, got {class_spread}")
+def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread: float) -> None:
+    """Check the dataset's values; dim's fit to n_classes only when dim is given."""
+    if not 0 <= class_spread < math.inf:
+        raise ValueError(f"class_spread must be finite and >= 0, got {class_spread}")
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if dim < n_classes or dim % n_classes != 0:
+    if dim is not None and (dim < n_classes or dim % n_classes != 0):
         raise ValueError(f"dim must be a positive multiple of n_classes, got {dim}")
     if n_samples < n_classes:
         raise ValueError(f"need at least one sample per class, got {n_samples}")
@@ -150,25 +149,15 @@ def make_logreg(
 
     rows = np.arange(n_samples)
 
-    def _softmax(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The dataset's max-shifted logits, their exps and the exps' row sums."""
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         logits = features @ x.reshape(n_classes, n_features).T
         logits = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(logits)
-        return logits, exps, exps.sum(axis=1)
-
-    def _loss(logits: np.ndarray, sums: np.ndarray) -> float:
-        return float(np.mean(np.log(sums) - logits[rows, labels]))
-
-    def loss(x: np.ndarray) -> float:
-        logits, _, sums = _softmax(x)
-        return _loss(logits, sums)
-
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        logits, exps, sums = _softmax(x)
+        sums = exps.sum(axis=1)
+        loss = float(np.mean(np.log(sums) - logits[rows, labels]))
         probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
         probs[rows, labels] -= 1.0
-        return _loss(logits, sums), (probs.T @ features / n_samples).reshape(dim)
+        return loss, (probs.T @ features / n_samples).reshape(dim)
 
     def gradient(x: np.ndarray, batches: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, b = batches.shape
@@ -197,7 +186,6 @@ def make_logreg(
 
     problem = Problem(
         dim=dim,
-        loss=loss,
         gradient=gradient,
         evaluate=evaluate,
         n_samples=n_samples,
@@ -220,7 +208,7 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
 def _check_partition(mode: str, skew_param: float) -> None:
     if mode not in ("iid", "label_skew"):
         raise ValueError(f"mode must be 'iid' or 'label_skew', got {mode!r}")
-    if mode == "label_skew" and not 0.0 < skew_param <= 1.0:
+    if not 0.0 < skew_param <= 1.0:
         raise ValueError(f"skew_param must be in (0, 1], got {skew_param}")
 
 
@@ -291,12 +279,13 @@ class ProblemSpec:
     class_spread: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind == "quadratic":
-            _check_quadratic(self.dim, self.condition_number, self.noise_std)
-        elif self.kind == "logreg":
-            _check_logreg(self.n_samples, self.dim, self.n_classes, self.class_spread)
-        else:
+        # every value gets its own range whatever the kind; dim's fit to
+        # n_classes only for logreg, the kind that reads both
+        if self.kind not in ("quadratic", "logreg"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        _check_quadratic(self.dim, self.condition_number, self.noise_std)
+        logreg_dim = self.dim if self.kind == "logreg" else None
+        _check_logreg(self.n_samples, logreg_dim, self.n_classes, self.class_spread)
 
 
 def build_problem(spec: ProblemSpec, seed: int) -> Problem:
@@ -336,19 +325,24 @@ class RunConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         check_seed(self.seed)
-        if self.problem.kind == "logreg":
-            _check_partition(self.partition_mode, self.skew_param)
-            if self.n_workers > self.problem.n_samples:
-                raise ValueError(
-                    f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
-                    "every worker needs a nonempty shard"
-                )
+        _check_partition(self.partition_mode, self.skew_param)
+        if self.problem.kind == "logreg" and self.n_workers > self.problem.n_samples:
+            raise ValueError(
+                f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
+                "every worker needs a nonempty shard"
+            )
         # the checks of the objects run builds from this config
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self.hyper()
         if self.variant in SKETCHED:
             self.protocol()
+        else:
+            # unread here, the sketch values still get their own ranges;
+            # only k <= dim and P*k <= dim are left to the sketched variants
+            SketchConfig(rows=self.rows, cols=self.cols, seed=self.seed, dim=self.problem.dim)
+            if self.k < 1 or self.p_factor < 1:
+                raise ValueError(f"k and p_factor must be >= 1, got {self.k}, {self.p_factor}")
 
     def hyper(self) -> HyperParams:
         return HyperParams(

@@ -90,6 +90,17 @@ def point_query_failure_rates(seed: int, trials: int = 500) -> tuple[float, floa
     return fails_amp / trials, fails_sq / trials
 
 
+def bucket_uniformity(seed: int) -> tuple[float, float]:
+    """(p-value, sign bias) of one 256-bucket operator row over 100k
+    coordinates: the upper tail of Pearson's chi-square statistic of the
+    bucket counts, as scipy.stats.chisquare computes it, and |mean sign|."""
+    cfg = SketchConfig(rows=1, cols=256, seed=seed + 1, dim=100_000)
+    buckets, signs = (a[:, 0] for a in _cells(cfg))
+    counts = np.bincount(buckets, minlength=256).astype(np.float64)
+    pvalue = special.chdtrc(counts.size - 1, np.sum((counts - counts.mean()) ** 2 / counts.mean()))
+    return pvalue, abs(float(np.mean(signs)))
+
+
 def sketch_suite(seed: int = 0) -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(seed)
@@ -100,19 +111,11 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     same = np.array_equal(sketch_vector(cfg, v).table, sketch_vector(cfg, v).table)
     results.append(CheckResult("sketch", "determinism", same, float(same), 1.0))
 
-    # bucket uniformity: chi-square over 256 buckets of the operator's one row
-    cfg_u = SketchConfig(rows=1, cols=256, seed=seed + 1, dim=100_000)
-    buckets, signs = (a[:, 0] for a in _cells(cfg_u))
-    counts = np.bincount(buckets, minlength=256).astype(np.float64)
-    # Pearson's statistic and its upper tail, as scipy.stats.chisquare computes them
-    pvalue = special.chdtrc(counts.size - 1, np.sum((counts - counts.mean()) ** 2 / counts.mean()))
+    pvalue, bias = bucket_uniformity(seed)
     results.append(
         CheckResult("sketch", "bucket_uniformity_chi2", pvalue > 0.01, pvalue, 0.01,
                     "p-value must exceed bound")
     )
-
-    # sign balance
-    bias = abs(float(np.mean(signs)))
     results.append(CheckResult("sketch", "sign_balance", bias < 0.02, bias, 0.02))
 
     # single nonzero coordinate estimated exactly

@@ -8,6 +8,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import sketchgrad.cli as cli
 import sketchgrad.compressors as compressors
 import sketchgrad.optimizers as optimizers
@@ -25,7 +27,8 @@ def load_sample():
     return sample
 
 
-def test_benchmark_marks_fire_in_run_and_compare(tmp_path, monkeypatch):
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_benchmark_marks_fire_in_run_and_compare(tmp_path, monkeypatch, traced):
     # setattr to the current values, so teardown restores them after
     # install_marks replaces them
     for owner, name in ((simulation, "build_problem"), (simulation, "write_trace"),
@@ -33,7 +36,9 @@ def test_benchmark_marks_fire_in_run_and_compare(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, getattr(owner, name))
     sample = load_sample()
     marks = {}
-    sample.install_marks(marks, None)
+    # the traced mode also wraps each problem's gradient and loss
+    tracer = sample.Tracer() if traced else None
+    sample.install_marks(marks, tracer)
 
     # the logreg workers' gradients must go through Problem.gradient too,
     # or the first-iteration mark never fires on the logreg workloads
@@ -51,6 +56,9 @@ def test_benchmark_marks_fire_in_run_and_compare(tmp_path, monkeypatch):
             assert cli.main(args) == cli.EXIT_OK
             assert {"first_iter", "loop_end"} <= set(marks)
             assert marks["first_iter"] <= marks["loop_end"]
+    if traced:
+        spans = {span[0] for span in tracer.spans}
+        assert {"simulation.build_problem", "simulation.worker_grad"} <= spans
 
 
 def test_benchmark_tracer_times_the_sketched_layers(tmp_path, monkeypatch, capsys):

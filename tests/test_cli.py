@@ -428,6 +428,18 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "quadratic", "dim": 20}, "alpha": LONG},
         # a preset that is not a string once ended in a TypeError traceback
         {"problem": {"kind": "quadratic", "dim": 20}, "preset": ["small"]},
+        # each once exited 0: a value was checked only by the kind or
+        # variant that reads it
+        {"problem": {"kind": "logreg", "dim": 20, "noise_std": -1, "condition_number": 0.5}},
+        {"problem": {"kind": "quadratic", "dim": 20, "n_classes": 1}},
+        {"problem": {"kind": "quadratic", "dim": 20, "n_samples": 0}},
+        {"problem": {"kind": "quadratic", "dim": 20, "class_spread": -5}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "partition_mode": "bogus"},
+        {"problem": {"kind": "logreg", "dim": 20}, "partition_mode": "iid", "skew_param": -3},
+        {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "k": 0},
+        {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "rows": 0},
+        {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "cols": -1},
+        {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "p_factor": 0},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):
@@ -438,6 +450,33 @@ def test_malformed_config_is_config_error(tmp_path, capsys, body):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
     assert not out.exists()
+
+
+def test_unread_values_in_range_still_run(tmp_path):
+    # checks that involve dim or n_workers stay with what reads them: a
+    # dense variant takes k > dim, and a quadratic takes n_workers above
+    # n_samples and a dim that is no multiple of n_classes
+    body = small_quadratic(variant="dense_sgd", k=100, p_factor=8, n_workers=3, horizon=2)
+    body["problem"].update(n_samples=2, n_classes=2, dim=41)
+    cfg = write_config(tmp_path / "c.json", body)
+    assert main(["run", cfg, "-o", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch, command, jobs):
+    # both once ran as --jobs 1
+    monkeypatch.setattr(cli, "_run_all", _no_run)
+    cfg = write_config(tmp_path / "c.json", small_quadratic())
+    args = [command, cfg, "-o", str(tmp_path / "o"), "--jobs", jobs]
+    if command == "compare":
+        args += ["--variants", "ga"]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_sweep_outputs(tmp_path):
@@ -518,16 +557,32 @@ def test_compare_rejects_unknown_variant(tmp_path, monkeypatch, variants):
 # ----------------------------------------------------------------- verify
 
 
-def test_verify_optimizer_suite():
-    assert main(["verify", "optimizer", "--seed", "0"]) == EXIT_OK
+def test_verify_optimizer_suite(monkeypatch):
+    # one named suite runs, at the given seed, and no other
+    from sketchgrad import verification
+
+    ran = []
+    for name in verification.SUITES:
+        def stub(seed=0, name=name):
+            ran.append((name, seed))
+            return [verification.CheckResult(name, "stub", True, 1.0, 1.0)]
+
+        monkeypatch.setitem(verification.SUITES, name, stub)
+    assert main(["verify", "optimizer", "--seed", "3"]) == EXIT_OK
+    assert ran == [("optimizer", 3)]
 
 
-def test_verify_all_within_runtime_budget():
+def test_verify_all_within_runtime_budget(capsys):
+    # the one full run of every suite in this test suite: every check
+    # passes at seed 0
     import time
 
     t0 = time.time()
-    assert main(["verify", "all", "--seed", "0"]) == EXIT_OK
-    assert time.time() - t0 < 120.0
+    rc = main(["verify", "all", "--seed", "0"])
+    elapsed = time.time() - t0
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert rc == EXIT_OK and not failed, failed
+    assert elapsed < 120.0
 
 
 @pytest.mark.parametrize(

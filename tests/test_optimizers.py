@@ -284,14 +284,3 @@ def test_dense_sgd_step():
     diag = step(st, [np.array([2.0, -4.0])], p, None, 1)
     assert st.x.tolist() == [-1.0, 2.0]
     assert diag.upstream_scalars == 2 and diag.downstream_scalars == 2
-
-
-# ------------------------------------------------------------- full suite
-
-
-def test_optimizer_property_suite():
-    from sketchgrad.verification import optimizer_suite
-
-    results = optimizer_suite(seed=0)
-    failures = [r.line() for r in results if not r.passed]
-    assert not failures, failures

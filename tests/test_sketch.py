@@ -290,16 +290,6 @@ def test_table_shape_mismatch(cfg):
         CountSketch(cfg, table=np.zeros((4, 50)))
 
 
-def test_statistical_suite_passes():
-    # chi-square uniformity, sign balance, point-query bounds, planted
-    # recovery: the seeded monte-carlo suite at full trial counts
-    from sketchgrad.verification import sketch_suite
-
-    results = sketch_suite(seed=0)
-    failures = [r.line() for r in results if not r.passed]
-    assert not failures, failures
-
-
 @pytest.mark.parametrize("seed", [0, 54])
 def test_bucket_uniformity_pvalue_matches_scipy_stats(seed):
     # verify takes Pearson's chi-square through scipy.special; scipy.stats
@@ -307,9 +297,8 @@ def test_bucket_uniformity_pvalue_matches_scipy_stats(seed):
     from scipy import stats
 
     from sketchgrad.sketch import _cells
-    from sketchgrad.verification import sketch_suite
+    from sketchgrad.verification import bucket_uniformity
 
     cfg_u = SketchConfig(rows=1, cols=256, seed=seed + 1, dim=100_000)
     counts = np.bincount(_cells(cfg_u)[0][:, 0], minlength=256)
-    (check,) = [r for r in sketch_suite(seed) if r.name == "bucket_uniformity_chi2"]
-    assert check.measured == stats.chisquare(counts).pvalue
+    assert bucket_uniformity(seed)[0] == stats.chisquare(counts).pvalue
