@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compressors import ProtocolConfig, sequential_mean, sketched_topk_aggregate
-from .sketch import top_m
+from .sketch import check_elements, top_m
 
 VARIANTS = ("pa", "ga", "dense_amsgrad", "sketched_sgd", "dense_sgd")
 SKETCHED = ("pa", "ga", "sketched_sgd")
@@ -64,6 +64,7 @@ class HyperParams:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        check_elements("the trace, horizon rows", self.horizon)
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
 

@@ -29,7 +29,7 @@ from .optimizers import (
     StepDiagnostics,
     step,
 )
-from .sketch import SketchConfig
+from .sketch import SketchConfig, check_elements
 
 SHADOW_GAP_TOL = 1e-9
 
@@ -43,6 +43,8 @@ class InvariantViolation(RuntimeError):
 # logreg runs (8 workers x 32 rows of 6000 features, 2 vCPUs), one
 # unblocked 12 MB gather took the worker gradients from 4.0 to 5.1 ms
 # per iteration, though alone in a tight loop it was the faster one.
+# make_logreg adds the class centres to its features in blocks of the
+# same size, so the build holds no second copy of the dataset.
 GATHER_BUDGET = 1 << 20
 
 
@@ -89,6 +91,7 @@ def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> Non
         raise ValueError(f"condition_number must be finite and >= 1, got {condition_number}")
     if not 0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    check_elements("dim", dim)
 
 
 def make_quadratic(
@@ -128,6 +131,9 @@ def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread:
         raise ValueError(f"dim must be a positive multiple of n_classes, got {dim}")
     if n_samples < n_classes:
         raise ValueError(f"need at least one sample per class, got {n_samples}")
+    check_elements("n_samples", n_samples)
+    if dim is not None:
+        check_elements("the features, n_samples by dim / n_classes", n_samples, dim // n_classes)
 
 
 def make_logreg(
@@ -138,6 +144,11 @@ def make_logreg(
     ``dim`` is the parameter dimension and must be a multiple of
     n_classes; the weight matrix is x reshaped to (n_classes, features).
     Returns the problem and the (features, labels) dataset.
+
+    The dataset is held once, n_samples * dim / n_classes * 8 bytes of
+    features: the noise is drawn straight into the feature matrix and
+    each row's class centre is added in place, in row blocks of at most
+    GATHER_BUDGET bytes, with the same bits as centers[labels] + noise.
     """
     _check_logreg(n_samples, dim, n_classes, class_spread)
     n_features = dim // n_classes
@@ -145,7 +156,10 @@ def make_logreg(
     centers = class_spread * rng.standard_normal((n_classes, n_features))
     labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
-    features = centers[labels] + rng.standard_normal((n_samples, n_features))
+    features = rng.standard_normal((n_samples, n_features))
+    per_block = max(1, GATHER_BUDGET // (n_features * 8))
+    for lo in range(0, n_samples, per_block):
+        features[lo : lo + per_block] += centers[labels[lo : lo + per_block]]
 
     rows = np.arange(n_samples)
 
@@ -324,19 +338,28 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_elements("batch_size", self.batch_size)
+        check_elements("the gradients, n_workers by dim", self.n_workers, self.problem.dim)
         check_seed(self.seed)
         _check_partition(self.partition_mode, self.skew_param)
-        if self.problem.kind == "logreg" and self.n_workers > self.problem.n_samples:
-            raise ValueError(
-                f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
-                "every worker needs a nonempty shard"
-            )
+        if self.problem.kind == "logreg":
+            if self.n_workers > self.problem.n_samples:
+                raise ValueError(
+                    f"n_workers={self.n_workers} exceeds n_samples={self.problem.n_samples}: "
+                    "every worker needs a nonempty shard"
+                )
+            check_elements("the minibatches, n_workers by batch_size",
+                           self.n_workers, self.batch_size)
+            check_elements("one worker's gathered features, batch_size by dim / n_classes",
+                           self.batch_size, self.problem.dim // self.problem.n_classes)
         # the checks of the objects run builds from this config
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self.hyper()
         if self.variant in SKETCHED:
             self.protocol()
+            check_elements("the workers' sketches, rows * cols by n_workers",
+                           self.rows * self.cols, self.n_workers)
         else:
             # unread here, the sketch values still get their own ranges;
             # only k <= dim and P*k <= dim are left to the sketched variants

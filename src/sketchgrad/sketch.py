@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 import struct
 
 import numpy as np
@@ -34,6 +35,13 @@ _IDX_SPREAD = 0xC2B2AE3D27D4EB4F  # odd constant spreading small indices
 
 class IncompatibleSketchError(ValueError):
     """Raised when two sketches with different configs are combined."""
+
+
+def check_elements(name: str, *sizes: int) -> None:
+    """Reject an array shape with more elements than numpy can address."""
+    if math.prod(sizes) > np.iinfo(np.intp).max:
+        shape = " x ".join(map(str, sizes))
+        raise ValueError(f"{name} ({shape}) has more elements than numpy can address")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,8 @@ class SketchConfig:
             )
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        check_elements("the table, rows by cols", self.rows, self.cols)
+        check_elements("the operator's cells, rows by dim", self.rows, self.dim)
 
     @property
     def size(self) -> int:

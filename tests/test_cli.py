@@ -440,6 +440,20 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "rows": 0},
         {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "cols": -1},
         {"problem": {"kind": "quadratic", "dim": 20}, "variant": "dense_sgd", "p_factor": 0},
+        # sizes past what numpy can address, each of which once ended in a
+        # traceback inside the run, after config.resolved.json was written
+        {"problem": {"kind": "quadratic", "dim": 10**30}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "n_workers": 10**30},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": [1, 10**30], "threshold": 1.0}},
+        {"problem": {"kind": "logreg", "dim": 20, "n_samples": 10**30}},
+        {"problem": {"kind": "logreg", "dim": 20}, "batch_size": 10**30},
+        {"problem": {"kind": "quadratic", "dim": 20}, "rows": 10**30},
+        {"problem": {"kind": "quadratic", "dim": 20}, "cols": 10**30},
+        # a step size 1/sqrt(1 + horizon) and a noise scale
+        # 1/sqrt(batch_size) past a float's range
+        {"problem": {"kind": "quadratic", "dim": 20}, "horizon": 10**400},
+        {"problem": {"kind": "quadratic", "dim": 20}, "batch_size": 10**400},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):

@@ -2,10 +2,12 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sketchgrad import simulation
 from sketchgrad.optimizers import NumericError
 from sketchgrad.simulation import (
     GATHER_BUDGET,
@@ -40,6 +42,16 @@ def reference_logreg_loss(features, labels, x, batch):
     logits = xb @ x.reshape(-1, xb.shape[1]).T
     logits = logits - logits.max(axis=1, keepdims=True)
     return float(np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(len(yb)), yb]))
+
+
+def reference_logreg_features(n_samples, dim, n_classes, seed, class_spread=2.0):
+    """make_logreg's features as one expression, centers[labels] + noise,
+    from the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    centers = class_spread * rng.standard_normal((n_classes, dim // n_classes))
+    labels = np.arange(n_samples) % n_classes
+    rng.shuffle(labels)
+    return centers[labels] + rng.standard_normal((n_samples, dim // n_classes))
 
 
 def reference_logreg_gradient(features, labels, x, batch):
@@ -147,6 +159,36 @@ def test_blocked_logreg_gradient_is_bit_equal_to_per_worker(
         ref = np.array([reference_logreg_gradient(X, y, x, batch) for batch in batches])
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
+
+
+@pytest.mark.parametrize(
+    "n_samples, dim, n_classes, seed, budget, blocks",
+    [
+        (240, 60, 6, 11, GATHER_BUDGET, 1),  # the golden logreg shape
+        (103, 40, 4, 5, 10 * 10 * 8, 11),  # ten blocks of 10 rows and one of 3
+    ],
+)
+def test_logreg_features_are_bit_equal_to_one_expression(
+    monkeypatch, n_samples, dim, n_classes, seed, budget, blocks
+):
+    monkeypatch.setattr(simulation, "GATHER_BUDGET", budget)
+    per_block = max(1, budget // (dim // n_classes * 8))
+    assert -(-n_samples // per_block) == blocks
+    _, (X, _) = make_logreg(n_samples, dim, n_classes, seed)
+    ref = reference_logreg_features(n_samples, dim, n_classes, seed)
+    assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+
+
+def test_logreg_build_holds_the_dataset_once():
+    # centers[labels] + noise held two (n_samples, features) arrays at once:
+    # a traced peak of 2.01x the features' bytes
+    tracemalloc.start()
+    try:
+        _, (X, _) = make_logreg(1000, 4000, 4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.nbytes
 
 
 def test_logreg_validation():
