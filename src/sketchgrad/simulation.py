@@ -10,6 +10,7 @@ minibatch draws, so a (config, seed) pair reproduces a run bit for bit.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import csv
 import dataclasses
 import math
@@ -47,25 +48,46 @@ class InvariantViolation(RuntimeError):
 # same size, so the build holds no second copy of the dataset.
 GATHER_BUDGET = 1 << 20
 
+# Bytes of features that the first half of a logistic regression product
+# must read for run's helper thread to compute the second half. A half of
+# 4 MiB makes over 100**3 multiply-adds (n_classes >= 2), so with OpenBLAS
+# both halves take the whole product's gemm kernel and not its small-matrix
+# kernel, which sums in another order. On 2 vCPUs with one BLAS thread a
+# split starts to gain at about 1 MiB a half, so the bits set the bound.
+SPLIT_BYTES = 4 << 20
+# The full-batch products split only into whole tiles of this many rows or
+# columns: OpenBLAS's gemm computes the ragged edge of its 8-wide tiles in
+# an order that depends on where the edge falls.
+BLAS_TILE = 8
+
 
 @dataclass
 class Problem:
     """A differentiable objective.
 
-    ``evaluate(x)`` returns the full objective's loss and gradient from
-    one shared pass: for logistic regression it computes the logits over
-    the whole dataset once, not twice.
+    ``evaluate(x, pool=None)`` returns the full objective's loss and
+    gradient from one shared pass: for logistic regression it computes the
+    logits over the whole dataset once, not twice.
 
-    ``gradient(x, batches, out=None)`` returns every worker's minibatch
-    gradient from one call. ``batches`` is an ``(n, b)`` array of sample
-    indices, and row i of the ``(n, dim)`` result (``out``, when given)
-    is the mean gradient over row i's samples; one batch is the n = 1
-    case. Logistic regression works through the workers in blocks of m
-    whose gathered feature rows (m * b rows of 8-byte features) fit in
+    ``gradient(x, batches, out=None, pool=None)`` returns every worker's
+    minibatch gradient from one call. ``batches`` is an ``(n, b)`` array
+    of sample indices, and row i of the ``(n, dim)`` result (``out``, when
+    given) is the mean gradient over row i's samples; one batch is the
+    n = 1 case. Logistic regression works through the workers in blocks of
+    m whose gathered feature rows (m * b rows of 8-byte features) fit in
     GATHER_BUDGET bytes; a block holds at least one worker. Each block is
     one gather, one batched logits product, one softmax and one batched
     ``np.matmul``, which give each row the same bits as that worker's own
     ``probs.T @ features[batch] / b``.
+
+    ``pool`` is a one-thread executor. When half of a logistic regression
+    product reads at least SPLIT_BYTES of features, the pool's thread
+    computes that half while the calling thread computes the other: the
+    full-batch logits by sample rows, the full-batch gradient by feature
+    columns and the workers' gradients by workers. Each output element
+    still comes whole from one ``np.matmul`` call over the same reduction
+    and, with OpenBLAS at one thread, from the same kernel, so the result
+    has the same bits as without a pool. The quadratic ignores ``pool``.
 
     Problems with ``n_samples == 0`` have no dataset: ``gradient(x)``
     is the full gradient, and their stochasticity comes from additive
@@ -74,7 +96,7 @@ class Problem:
 
     dim: int
     gradient: Callable[..., np.ndarray]
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    evaluate: Callable[..., tuple[float, np.ndarray]]
     n_samples: int = 0
     labels: np.ndarray | None = None
     noise_std: float = 0.0
@@ -105,7 +127,7 @@ def make_quadratic(
     eigs = np.logspace(0.0, math.log10(condition_number), dim)
     x_star = rng.standard_normal(dim)
 
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
         r = x - x_star
         g = eigs * r
         return float(0.5 * np.dot(r, g)), g
@@ -136,6 +158,27 @@ def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread:
         check_elements("the features, n_samples by dim / n_classes", n_samples, dim // n_classes)
 
 
+def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
+           part: Callable[[int, int], object], step: int = 1) -> None:
+    """Call part(lo, hi) over the range [0, n) of a product's units (rows,
+    columns or workers), each reading unit_bytes of features. With mid the
+    largest multiple of step up to n // 2, the pool's thread takes [mid, n)
+    while this thread takes [0, mid), when there is a pool, n is a multiple
+    of step and [0, mid) reads at least SPLIT_BYTES; the call returns once
+    both halves are done. The pool's half runs in a copy of this thread's
+    context, so under its numpy errstate."""
+    mid = n // 2 // step * step
+    if pool is None or n % step or mid * unit_bytes < SPLIT_BYTES:
+        part(0, n)
+        return
+    half = pool.submit(contextvars.copy_context().run, part, mid, n)
+    try:
+        part(0, mid)
+    finally:
+        concurrent.futures.wait([half])
+    half.result()
+
+
 def make_logreg(
     n_samples: int, dim: int, n_classes: int, seed: int, class_spread: float = 2.0
 ) -> tuple[Problem, tuple[np.ndarray, np.ndarray]]:
@@ -163,38 +206,51 @@ def make_logreg(
 
     rows = np.arange(n_samples)
 
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = features @ x.reshape(n_classes, n_features).T
+    def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
+        w_t = x.reshape(n_classes, n_features).T
+        logits = np.empty((n_samples, n_classes))
+        _split(pool, n_features * 8, n_samples,
+               lambda lo, hi: np.matmul(features[lo:hi], w_t, out=logits[lo:hi]), BLAS_TILE)
         logits = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
         loss = float(np.mean(np.log(sums) - logits[rows, labels]))
         probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
         probs[rows, labels] -= 1.0
-        return loss, (probs.T @ features / n_samples).reshape(dim)
+        grad = np.empty((n_classes, n_features))
+        _split(pool, n_samples * 8, n_features,
+               lambda lo, hi: np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi]), BLAS_TILE)
+        grad /= n_samples
+        return loss, grad.reshape(dim)
 
-    def gradient(x: np.ndarray, batches: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def gradient(
+        x: np.ndarray, batches: np.ndarray, out: np.ndarray | None = None, pool=None
+    ) -> np.ndarray:
         n, b = batches.shape
         if out is None:
             out = np.empty((n, dim))
         w_t = x.reshape(n_classes, n_features).T
         per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
-        for lo in range(0, n, per_block):
-            idx = batches[lo : lo + per_block].ravel()
-            m = idx.shape[0] // b
-            xb = features[idx].reshape(m, b, n_features)
-            # one product per worker: one (m*b, F) product crosses OpenBLAS's
-            # small-matrix cutoff at some shapes and sums in another order
-            logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
-            logits -= logits.max(axis=1, keepdims=True)
-            exps = np.exp(logits, out=logits)
-            probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
-            probs[np.arange(m * b), labels[idx]] -= 1.0
-            np.matmul(
-                probs.reshape(m, b, n_classes).transpose(0, 2, 1),
-                xb,
-                out=out[lo : lo + m].reshape(m, n_classes, n_features),
-            )
+
+        def workers(first: int, stop: int) -> None:
+            for lo in range(first, stop, per_block):
+                idx = batches[lo : min(lo + per_block, stop)].ravel()
+                m = idx.shape[0] // b
+                xb = features[idx].reshape(m, b, n_features)
+                # one product per worker: one (m*b, F) product crosses OpenBLAS's
+                # small-matrix cutoff at some shapes and sums in another order
+                logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
+                logits -= logits.max(axis=1, keepdims=True)
+                exps = np.exp(logits, out=logits)
+                probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
+                probs[np.arange(m * b), labels[idx]] -= 1.0
+                np.matmul(
+                    probs.reshape(m, b, n_classes).transpose(0, 2, 1),
+                    xb,
+                    out=out[lo : lo + m].reshape(m, n_classes, n_features),
+                )
+
+        _split(pool, b * n_features * 8, n, workers)
         out /= b
         return out
 
@@ -461,14 +517,15 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     noise_scale = problem.noise_std / math.sqrt(config.batch_size)
     records: list[TraceRecord] = []
     # a noisy problem's helper draws the next iteration's noise while this
-    # one steps: the draws do not depend on the iterate. The helper's thread
+    # one steps: the draws do not depend on the iterate. A large logistic
+    # regression's helper computes half of each product. The helper's thread
     # starts at its first submit, so other problems start none.
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
         drawing = None
         for t in range(1, config.horizon + 1):
             if shards is not None:
                 _draw_batches(shards, config.seed, t, batches)
-                problem.gradient(state.x, batches, grads)
+                problem.gradient(state.x, batches, grads, pool=helper)
             else:
                 # every worker gets the one full gradient, plus its own noise
                 full = problem.gradient(state.x)
@@ -487,7 +544,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
             check = config.check_invariants and state.v_hat is not None
             prev_v_hat = state.v_hat.copy() if check else None
             diag = step(state, grads, params, proto, t)
-            loss, full_grad = problem.evaluate(state.x)
+            loss, full_grad = problem.evaluate(state.x, pool=helper)
             grad_norm_sq = float(np.dot(full_grad, full_grad))
             checked = (("iterate", state.x), ("train_loss", loss), ("grad_norm_sq", grad_norm_sq))
             for name, value in checked:

@@ -344,7 +344,9 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
     # must stop there, before the shadow check or the trace. With
     # noise_std 4e307 and a tiny alpha the sketched SGD error accumulator
     # overflows at iteration 2 while the iterate stays finite; that once
-    # ended in a traceback from the sketch's finiteness check.
+    # ended in a traceback from the sketch's finiteness check. The logreg's
+    # full-batch logits overflow at iteration 1, half of them on the helper
+    # thread, which must ignore the overflow under run's errstate too.
     base = {"problem": {"kind": "quadratic", "dim": 20}, "variant": "pa", "k": 2,
             "p_factor": 2, "rows": 3, "cols": 8}
     bodies = [({**base, "alpha": 1e300}, 1),
@@ -352,7 +354,9 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
                 "batch_size": 1}, 1),
               ({"problem": {"kind": "quadratic", "dim": 50, "noise_std": 4e307},
                 "variant": "sketched_sgd", "alpha": 1e-300, "horizon": 5, "n_workers": 2,
-                "k": 2, "p_factor": 2, "rows": 3, "cols": 16, "batch_size": 1}, 2)]
+                "k": 2, "p_factor": 2, "rows": 3, "cols": 16, "batch_size": 1}, 2),
+              ({"problem": {"kind": "logreg", "dim": 2048, "n_samples": 1024, "n_classes": 2},
+                "alpha": 1e308, "horizon": 3, "n_workers": 4, "batch_size": 256}, 1)]
     for i, (body, iteration) in enumerate(bodies):
         cfg = write_config(tmp_path / f"c{i}.json", body)
         out = tmp_path / f"out{i}"

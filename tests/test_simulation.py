@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -11,6 +14,7 @@ from sketchgrad import simulation
 from sketchgrad.optimizers import NumericError
 from sketchgrad.simulation import (
     GATHER_BUDGET,
+    SPLIT_BYTES,
     InvariantViolation,
     ProblemSpec,
     RunConfig,
@@ -376,6 +380,124 @@ def test_numeric_error_mid_run_stops_the_noise_helper(monkeypatch):
     assert not any(th.is_alive() for th in helpers)
 
 
+class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that records the thread each submitted call ran on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ran_on = []
+
+    def submit(self, fn, *args, **kwargs):
+        def recorded(*a, **k):
+            self.ran_on.append(threading.current_thread())
+            return fn(*a, **k)
+
+        return super().submit(recorded, *args, **kwargs)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The executors run creates, each recording its submitted calls."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(RecordingExecutor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return made
+
+
+@pytest.mark.parametrize("n_samples, n_classes, n_features, batch_size, submits", [
+    # the smallest logreg whose three products all split: the first half of
+    # each reads SPLIT_BYTES (512 samples, 512 feature columns or 2 workers
+    # of 256-sample batches), and 2 classes give a half the fewest
+    # multiply-adds
+    (1024, 2, 1024, 256, 3),
+    # 8 samples and 8 batch rows fewer, no half reaches SPLIT_BYTES
+    (1016, 2, 1024, 248, 0),
+    # only the logits split: split into 96 + 99 feature columns, OpenBLAS
+    # would give the last 3 columns of the gradient other bits
+    (6000, 18, 195, 8, 1),
+])
+def test_split_logreg_products_match_the_single_thread_path(
+    n_samples, n_classes, n_features, batch_size, submits
+):
+    assert 512 * 1024 * 8 == SPLIT_BYTES  # the first case is the smallest that splits
+    dim = n_classes * n_features
+    problem, _ = make_logreg(n_samples, dim, n_classes, seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(dim)
+    batches = rng.integers(0, n_samples, size=(4, batch_size))
+    with RecordingExecutor(1) as pool:
+        loss, grad = problem.evaluate(x, pool=pool)
+        out = np.empty((4, dim))
+        assert problem.gradient(x, batches, out, pool=pool) is out
+    ref_loss, ref_grad = problem.evaluate(x)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+    assert np.array_equal(out, problem.gradient(x, batches))
+    assert len(pool.ran_on) == submits
+
+
+SPLIT_BITS_CODE = """
+import concurrent.futures
+import numpy as np
+from sketchgrad.simulation import make_logreg
+
+for n_samples, n_classes, n_features in [(1024, 2, 1024), (6000, 18, 195)]:
+    dim = n_classes * n_features
+    problem, _ = make_logreg(n_samples, dim, n_classes, seed=3)
+    x = np.random.default_rng(4).standard_normal(dim)
+    batches = np.random.default_rng(5).integers(0, n_samples, size=(4, 256))
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        loss, grad = problem.evaluate(x, pool=pool)
+        grads = problem.gradient(x, batches, pool=pool)
+    ref_loss, ref_grad = problem.evaluate(x)
+    print(loss == ref_loss, np.array_equal(grad, ref_grad),
+          np.array_equal(grads, problem.gradient(x, batches)))
+"""
+
+
+def test_split_logreg_products_match_at_one_blas_thread():
+    # the bits README promises at OPENBLAS_NUM_THREADS=1, which this process
+    # may not run at: there a split of 195 feature columns into 96 + 99 gives
+    # the gradient's last 3 columns other bits, so they must not split
+    import sketchgrad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", SPLIT_BITS_CODE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "True True True\n" * 2
+
+
+def test_numeric_error_in_split_products_stops_the_helper(helpers):
+    # alpha 1e308 overflows the full-batch logits at iteration 1. The helper
+    # computes half of them, and unless it runs under run's errstate the
+    # overflow is a RuntimeWarning (an error in this suite), not NumericError
+    spec = ProblemSpec(kind="logreg", n_samples=1024, dim=2048, n_classes=2)
+    cfg = RunConfig(problem=spec, variant="ga", alpha=1e308, horizon=3, n_workers=4,
+                    batch_size=256)
+    with pytest.raises(NumericError, match="iteration 1"):
+        run(cfg)
+    (helper,) = helpers
+    assert helper.ran_on and all(th is not threading.main_thread() for th in helper.ran_on)
+    assert not any(th.is_alive() for th in helper.ran_on)
+
+
+def test_small_logreg_run_submits_nothing_to_the_helper(helpers):
+    # the acceptance shape (20 KB of features): splitting its products would
+    # cost more than it saves, so the helper's thread never starts
+    spec = ProblemSpec(kind="logreg", dim=50, n_samples=500, n_classes=10)
+    cfg = RunConfig(problem=spec, variant="ga", horizon=5, n_workers=10, k=5, p_factor=4,
+                    rows=5, cols=25, batch_size=8, partition_mode="label_skew",
+                    skew_param=0.1)
+    run(cfg)
+    (helper,) = helpers
+    assert helper.ran_on == []
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
 def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
     # per iteration, one fused evaluate and one call for the workers'
@@ -391,19 +513,19 @@ def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
         problem = build(spec, seed)
         gradient, loss, evaluate = problem.gradient, problem.loss, problem.evaluate
 
-        def counted_gradient(x, *args):
+        def counted_gradient(x, *args, **kwargs):
             # quadratic workers have no dataset and pass no batches
             full = not args and problem.n_samples > 0
             calls["full_gradient" if full else "worker_gradient"] += 1
-            return gradient(x, *args)
+            return gradient(x, *args, **kwargs)
 
         def counted_loss(x):
             calls["loss"] += 1
             return loss(x)
 
-        def counted_evaluate(x):
+        def counted_evaluate(x, *args, **kwargs):
             calls["evaluate"] += 1
-            return evaluate(x)
+            return evaluate(x, *args, **kwargs)
 
         problem.gradient, problem.loss, problem.evaluate = (
             counted_gradient, counted_loss, counted_evaluate)
