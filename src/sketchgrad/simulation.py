@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import math
 import os
+import queue
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -458,12 +459,29 @@ def _worker_rng(seed: int, t: int, worker: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, t, worker]))
 
 
-def _draw_noise(seed: int, t: int, out: np.ndarray) -> np.ndarray:
-    """Fill row i of the (n, dim) array out with worker i's N(0, 1) noise
-    for iteration t."""
-    for i in range(out.shape[0]):
+def _draw_noise(seed: int, t: int, out: np.ndarray, rows: queue.SimpleQueue) -> None:
+    """Claim rows until none is left, filling each claimed row i of the
+    (n, dim) array out with worker i's N(0, 1) noise for iteration t.
+    Threads that share rows draw each row once, whole, from its own stream,
+    so out's bits do not depend on which thread drew which row."""
+    while True:
+        try:
+            i = rows.get_nowait()
+        except queue.Empty:
+            return
         _worker_rng(seed, t, i).standard_normal(out=out[i])
-    return out
+
+
+def _share_noise(
+    helper: concurrent.futures.Executor, seed: int, t: int, out: np.ndarray
+) -> tuple[queue.SimpleQueue, concurrent.futures.Future]:
+    """Queue every row of out for iteration t's noise and start the helper
+    drawing them. Return the queue, from which the caller draws the rows the
+    helper has not claimed, and the helper's future."""
+    rows = queue.SimpleQueue()
+    for i in range(out.shape[0]):
+        rows.put(i)
+    return rows, helper.submit(_draw_noise, seed, t, out, rows)
 
 
 def _draw_batches(shards: list[np.ndarray], seed: int, t: int, out: np.ndarray) -> None:
@@ -516,12 +534,13 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     noise = np.empty_like(grads) if problem.n_samples == 0 and problem.noise_std > 0.0 else None
     noise_scale = problem.noise_std / math.sqrt(config.batch_size)
     records: list[TraceRecord] = []
-    # a noisy problem's helper draws the next iteration's noise while this
-    # one steps: the draws do not depend on the iterate. A large logistic
+    # a noisy problem's helper starts on the next iteration's noise rows
+    # while this one steps, and this thread draws the rows it has not
+    # claimed: the draws do not depend on the iterate. A large logistic
     # regression's helper computes half of each product. The helper's thread
     # starts at its first submit, so other problems start none.
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
-        drawing = None
+        rows = drawing = None
         for t in range(1, config.horizon + 1):
             if shards is not None:
                 _draw_batches(shards, config.seed, t, batches)
@@ -533,13 +552,14 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                     grads[:] = full
                 else:
                     if drawing is None:
-                        _draw_noise(config.seed, t, noise)
-                    else:
-                        drawing.result()
-                    # scaled on this thread, under run's errstate
+                        rows, drawing = _share_noise(helper, config.seed, t, noise)
+                    _draw_noise(config.seed, t, noise, rows)
+                    drawing.result()
+                    # scaled on this thread, under run's errstate, once
+                    # both threads are done with iteration t's rows
                     np.multiply(noise, noise_scale, out=grads)
                     if t < config.horizon:
-                        drawing = helper.submit(_draw_noise, config.seed, t + 1, noise)
+                        rows, drawing = _share_noise(helper, config.seed, t + 1, noise)
                     grads += full
             check = config.check_invariants and state.v_hat is not None
             prev_v_hat = state.v_hat.copy() if check else None

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -357,27 +358,111 @@ def test_shadow_check_scales_with_the_iterates():
     assert max(r.shadow_gap for r in records) <= 1e-9 * np.max(np.abs(x))
 
 
-def test_numeric_error_mid_run_stops_the_noise_helper(monkeypatch):
-    # the helper draws iteration t+1's noise during step t; a run that
-    # aborts must not leave it running
-    import sketchgrad.simulation as sim
+@pytest.fixture
+def noise_rows(monkeypatch):
+    """Every (iteration, worker) noise row a run draws, with the thread that
+    drew it."""
+    drawn = []
+    worker_rng = simulation._worker_rng
 
-    drawn_on = []
-    draw = sim._draw_noise
+    def recording(seed, t, worker):
+        drawn.append((t, worker, threading.current_thread()))
+        return worker_rng(seed, t, worker)
 
-    def recording_draw(seed, t, out):
-        drawn_on.append((t, threading.current_thread()))
-        return draw(seed, t, out)
+    monkeypatch.setattr(simulation, "_worker_rng", recording)
+    return drawn
 
-    monkeypatch.setattr(sim, "_draw_noise", recording_draw)
+
+def each_row_once(horizon, n_workers):
+    return [(t, i) for t in range(1, horizon + 1) for i in range(n_workers)]
+
+
+def test_numeric_error_mid_run_stops_the_noise_helper(helpers, noise_rows):
+    # the helper starts on iteration t+1's noise during step t; a run that
+    # aborts must not leave it running, and no row is drawn twice
     spec = ProblemSpec(kind="quadratic", dim=30, condition_number=5.0, noise_std=1.0)
     # alpha 1e100 overflows the loss at iteration 2
     with pytest.raises(NumericError, match="iteration 2"):
         run(quad_config(problem=spec, alpha=1e100))
-    helpers = [thread for t, thread in drawn_on if t > 1]
-    assert [t for t, _ in drawn_on] == [1, 2, 3]
-    assert helpers and all(th is not threading.main_thread() for th in helpers)
-    assert not any(th.is_alive() for th in helpers)
+    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(3, 2)
+    (helper,) = helpers
+    assert helper.ran_on and all(th is not threading.main_thread() for th in helper.ran_on)
+    assert not any(th.is_alive() for th in helper.ran_on)
+
+
+class InlineExecutor(concurrent.futures.Executor):
+    """Runs each submitted call at once on the submitting thread, so that
+    run draws every noise row on its own thread, in order."""
+
+    def submit(self, fn, *args, **kwargs):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
+
+
+def serial_trace(monkeypatch, cfg, path):
+    """Write cfg's trace from a run without a helper thread; return its x."""
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ThreadPoolExecutor", lambda workers: InlineExecutor())
+        x, records = run(cfg)
+    write_trace(records, str(path))
+    return x
+
+
+def wait_until_claimed(rows, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not rows.empty():
+        assert time.monotonic() < deadline, "the other thread claimed no row"
+        time.sleep(1e-4)
+
+
+@pytest.mark.parametrize("stalled", ["helper", "run"])
+def test_stalled_thread_leaves_its_noise_rows_to_the_other(
+    monkeypatch, tmp_path, noise_rows, stalled
+):
+    # both threads claim whole rows of each iteration's noise; whichever
+    # thread is late, the other draws every row, and the trace is the
+    # serial loop's
+    spec = ProblemSpec(kind="quadratic", dim=40, condition_number=5.0, noise_std=1.0)
+    cfg = quad_config(problem=spec, variant="ga", horizon=6, n_workers=3)
+    ref_x = serial_trace(monkeypatch, cfg, tmp_path / "serial.csv")
+    noise_rows.clear()
+    caller = threading.current_thread()
+    draw = simulation._draw_noise
+
+    def stalling_draw(seed, t, out, rows):
+        if (threading.current_thread() is caller) == (stalled == "run"):
+            wait_until_claimed(rows)
+        draw(seed, t, out, rows)
+
+    monkeypatch.setattr(simulation, "_draw_noise", stalling_draw)
+    x, records = run(cfg)
+    write_trace(records, str(tmp_path / "shared.csv"))
+    assert np.array_equal(x, ref_x)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(6, 3)
+    on_run = {th is caller for _, _, th in noise_rows}
+    assert on_run == {stalled == "helper"}
+
+
+def test_noise_row_claim_under_frequent_thread_switches(monkeypatch, tmp_path, noise_rows):
+    # many small rows and a switch interval of 1 us make both threads claim
+    # from each iteration at once: a row claimed twice or never shows as a
+    # repeated or missing (t, i), or as other bits
+    spec = ProblemSpec(kind="quadratic", dim=16, condition_number=5.0, noise_std=1.0)
+    cfg = quad_config(problem=spec, horizon=30, n_workers=64)
+    ref_x = serial_trace(monkeypatch, cfg, tmp_path / "serial.csv")
+    noise_rows.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        x, records = run(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    write_trace(records, str(tmp_path / "shared.csv"))
+    assert np.array_equal(x, ref_x)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(30, 64)
 
 
 class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
