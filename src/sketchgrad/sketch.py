@@ -69,23 +69,26 @@ class SketchConfig:
         return self.rows * self.cols
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; z must be uint64 (wraps mod 2^64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # splitmix64's multipliers
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the float64 bit pattern of 1.0
 
 
 def _row_key(config: SketchConfig, row: int) -> int:
-    # a one-element array: numpy scalars warn when the multiply wraps
-    word = np.array([config.seed ^ (((row + 1) * _ROW_SALT) & _MASK64)], dtype=np.uint64)
-    return int(_mix64(word)[0])
+    """splitmix64 finalizer of the salted row, in Python ints wrapped to 64 bits."""
+    z = config.seed ^ (((row + 1) * _ROW_SALT) & _MASK64)
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
-def _cell_hash(config: SketchConfig, row: int, indices: np.ndarray) -> np.ndarray:
-    """Mixed 64-bit word for each index in one row (uint64 array in, uint64 out)."""
-    spread = (indices + np.uint64(1)) * np.uint64(_IDX_SPREAD)
-    return _mix64(spread ^ np.uint64(_row_key(config, row)))
+def _mix_into(h: np.ndarray, spare: np.ndarray) -> None:
+    """splitmix64 finalizer of the uint64 array h, in place (wraps mod 2^64)."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(h, np.uint64(shift), out=spare)
+        h ^= spare
+        h *= np.uint64(mult)
+    np.right_shift(h, np.uint64(31), out=spare)
+    h ^= spare
 
 
 def _check_index(config: SketchConfig, index: int) -> None:
@@ -102,13 +105,21 @@ def _operator(config: SketchConfig) -> sparse.csc_array:
     of one simulated cluster share it."""
     rows, cols, dim = config.rows, config.cols, config.dim
     idx_dtype = np.int32 if max(rows * dim, config.size) < 2**31 else np.int64
-    all_idx = np.arange(dim, dtype=np.uint64)
+    spread = np.arange(1, dim + 1, dtype=np.uint64)
+    spread *= np.uint64(_IDX_SPREAD)
+    h, spare = np.empty(dim, dtype=np.uint64), np.empty(dim, dtype=np.uint64)
     cells = np.empty((dim, rows), dtype=idx_dtype)
     signs = np.empty((dim, rows), dtype=np.float64)
+    sign_bits = signs.view(np.uint64)
     for j in range(rows):
-        h = _cell_hash(config, j, all_idx)
-        cells[:, j] = (h >> np.uint64(32)) % np.uint64(cols) + np.uint64(j * cols)
-        signs[:, j] = np.where((h & np.uint64(1)) == 0, 1.0, -1.0)
+        np.bitwise_xor(spread, np.uint64(_row_key(config, j)), out=h)
+        _mix_into(h, spare)
+        # hash bit 0 set gives -1.0: it becomes the float64 sign bit of 1.0
+        np.left_shift(h, np.uint64(63), out=spare)
+        np.bitwise_or(spare, _ONE_BITS, out=sign_bits[:, j])
+        h >>= np.uint64(32)
+        h %= np.uint64(cols)
+        np.add(h, np.uint64(j * cols), out=cells[:, j], casting="unsafe")
     indptr = np.arange(0, rows * dim + 1, rows, dtype=idx_dtype)
     op = sparse.csc_array((signs.ravel(), cells.ravel(), indptr), shape=(config.size, dim))
     for arr in (op.data, op.indices, op.indptr):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .compressors import (
     ProtocolConfig,
@@ -94,6 +93,8 @@ def bucket_uniformity(seed: int) -> tuple[float, float]:
     """(p-value, sign bias) of one 256-bucket operator row over 100k
     coordinates: the upper tail of Pearson's chi-square statistic of the
     bucket counts, as scipy.stats.chisquare computes it, and |mean sign|."""
+    from scipy import special  # loaded by verify alone, not by every run
+
     cfg = SketchConfig(rows=1, cols=256, seed=seed + 1, dim=100_000)
     buckets, signs = (a[:, 0] for a in _cells(cfg))
     counts = np.bincount(buckets, minlength=256).astype(np.float64)

@@ -617,16 +617,18 @@ def test_verify_seed_out_of_range_is_config_error(capsys, monkeypatch, suite, se
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # verify's one chi-square p-value comes from scipy.special; scipy.stats
-    # would load some 400 more modules into every command
+    # verify's one chi-square p-value comes from scipy.special, which
+    # bucket_uniformity imports itself; scipy.stats would load some 400
+    # more modules into every command, and scipy.special alone about 4 MB
     import sketchgrad
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, sketchgrad.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, sketchgrad.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def test_verify_reports_failure_exit(monkeypatch):

@@ -1,10 +1,11 @@
 """Property tests for the sparse sketch operator, its wire format, the
 top-m selection and the fused full-batch evaluation.
 
-Each property compares the fast path against a plain reference: a
-sorted() ranking, a loop of accumulate(), a worker-order sum of
-per-worker sketches, np.median over the rows, and the loss alone and the
-blocked minibatch gradient over the whole dataset as one batch.
+Each property compares the fast path against a plain reference: the
+operator's cells filled row by row, a sorted() ranking, a loop of
+accumulate(), a worker-order sum of per-worker sketches, np.median over
+the rows, and the loss alone and the blocked minibatch gradient over the
+whole dataset as one batch.
 """
 
 import itertools
@@ -76,6 +77,48 @@ def test_heavy_candidates_match_sorted_oracle(cfg, data):
     scores = np.abs(sk.estimate_all()).tolist()
     for m in {1, cfg.dim, data.draw(st.integers(1, cfg.dim))}:
         assert sk.heavy_candidates(m).tolist() == oracle(scores, m)
+
+
+def mix64(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_cells(cfg):
+    """The (dim, rows) cells and signs filled the plain way, one row at a
+    time: the row key hashed as a one-element array, the bucket by a uint64
+    modulo, the sign by np.where on hash bit 0."""
+    idx = np.arange(cfg.dim, dtype=np.uint64)
+    cells, signs = [], []
+    for j in range(cfg.rows):
+        salted = cfg.seed ^ (((j + 1) * 0x9E3779B97F4A7C15) & (2**64 - 1))
+        key = mix64(np.array([salted], dtype=np.uint64))[0]
+        h = mix64((idx + np.uint64(1)) * np.uint64(0xC2B2AE3D27D4EB4F) ^ key)
+        cells.append((h >> np.uint64(32)) % np.uint64(cfg.cols) + np.uint64(j * cfg.cols))
+        signs.append(np.where((h & np.uint64(1)) == 0, 1.0, -1.0))
+    return np.stack(cells, axis=1), np.stack(signs, axis=1)
+
+
+@SETTINGS
+@given(
+    st.builds(
+        SketchConfig,
+        rows=st.integers(1, 10),
+        cols=st.integers(1, 2**40),  # past 2**31 cells the indices are int64
+        seed=st.integers(0, 2**64 - 1),
+        dim=st.integers(1, 3000),
+    )
+)
+@example(SketchConfig(rows=1, cols=2**31 - 1, seed=0, dim=1))  # the last int32 config
+@example(SketchConfig(rows=2, cols=2**30, seed=0, dim=1))  # the first int64 one
+def test_cells_match_the_row_by_row_reference(cfg):
+    cells, signs = _cells(cfg)
+    ref_cells, ref_signs = reference_cells(cfg)
+    wide = max(cfg.rows * cfg.dim, cfg.size) >= 2**31
+    assert cells.dtype == (np.int64 if wide else np.int32)
+    assert np.array_equal(cells, ref_cells)
+    assert np.array_equal(bits(signs), bits(ref_signs))
 
 
 @SETTINGS

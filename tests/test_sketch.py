@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,53 @@ def test_hash_determinism(cfg):
     twin_cells, twin_signs = _cells(twin)
     assert np.array_equal(cells, twin_cells)
     assert np.array_equal(signs, twin_signs)
+
+
+def digest(a):
+    return hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()
+
+
+# (rows, cols, seed, dim) -> sha256 of the cells (dtype included) and of the
+# signs. The shapes: verify's reference, the small preset at 60k,
+# bucket_uniformity's row, one bucket, the largest seed, and two int64-index
+# configs where a bucket or a row's offset passes 32 bits.
+HASH_FAMILY = {
+    (7, 2000, 0, 10_000): (
+        "c030f00441d289356894c70c3d5c90c3a9b0998c4978f60a2d3b87d6013bb94f",
+        "363d959390475de010fe424c55d4a8aed38ed7c9794cfa720828bc03f91fecb9",
+    ),
+    (5, 400, 0, 60_000): (
+        "42f46dcc236343f3a6d50f091a4a2af7cdcceda820c383c239369471853293c9",
+        "81a82a882333bcb1f969bb6bf63bfd25929946094183fe93baef2bb25e4891c8",
+    ),
+    (1, 256, 1, 100_000): (
+        "78d1454085db240612193045938130926c130beb556a176f025618d008db036a",
+        "07372e766ea10657d7dedccf7e4bf1c21a6f985b10cbffd77bee87944d9e8930",
+    ),
+    (3, 1, 9, 20): (
+        "2a040253cd01b7ed3081298beb327eaf67ca3696e9b7bf441b14c4368d625a0f",
+        "3bb4cf52d3ab38d4f173541ac6207cd6a2dff4c2bbc49df3e590f18107a2569f",
+    ),
+    (4, 50, 2**64 - 1, 100): (
+        "1ccc71f7fe51ed2573a4ac7319f338c2a79e51b0a4ea420663416df774d4a02c",
+        "d4382f2496ebdbe55c3eb4c906b51d4253a223f6de82d523d46ed9c7cdbe8aa6",
+    ),
+    (2, 2**33, 5, 10): (
+        "fe07dbd416b3cf076c4f858aed56797dbd850e4ea73521e84bf7489d69743f1a",
+        "b60911b520f8c7edf559ab3f4686a67dc9df293e8536f6788d3e51ebefaa4ef1",
+    ),
+    (3, 2**31 - 1, 7, 10): (
+        "067ad5fda397210429d51160c462c0ab1afa8680aee16a00da76cfc89f820077",
+        "3c62fb562ff2a95640945d613b617f0d7dde3dd45762f60e9c106acccad7bbff",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", HASH_FAMILY, ids=str)
+def test_hash_family_digests(shape):
+    rows, cols, seed, dim = shape
+    cells, signs = _cells(SketchConfig(rows=rows, cols=cols, seed=seed, dim=dim))
+    assert (digest(cells), digest(signs)) == HASH_FAMILY[shape]
 
 
 def test_single_bucket_config():
