@@ -279,8 +279,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, so that
+    main reports them as one JSON line; subparsers take this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sketchgrad",
         description="Sketch-compressed distributed Adam-type optimization experiments.",
     )
@@ -310,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
@@ -326,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
     except OSError as exc:  # an output that cannot be written; files already written stay
         _error("config", f"cannot write output: {exc}")
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an array the machine cannot hold; files already written stay
+        _error("config", f"cannot allocate: {exc}")
         return EXIT_CONFIG
 
 

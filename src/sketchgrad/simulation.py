@@ -17,9 +17,10 @@ import math
 import os
 import queue
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .compressors import ProtocolConfig, compression_rate
 from .optimizers import (
@@ -455,40 +456,151 @@ class TraceRecord:
 TRACE_FIELDS = [f.name for f in dataclasses.fields(TraceRecord)]
 
 
-def _worker_rng(seed: int, t: int, worker: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, t, worker]))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# pool of 4 uint32 words, the hash of its entropy (A), the hash of its
+# output (B), and the mix of two pool words
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+# (iteration, worker) lanes whose stream words run derives at once, 32 bytes
+# each: 4096 lanes are 128 KB of words. A block holds one iteration at least.
+STREAM_LANES = 4096
 
 
-def _draw_noise(seed: int, t: int, out: np.ndarray, rows: queue.SimpleQueue) -> None:
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, low first; 0 is one word."""
+    return [value >> shift & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for each lane of the
+    uint32 lane arrays in entropy, one array per entropy word, as numpy's
+    hash computes it word by word. Every hash constant depends only on how
+    many hashes came before it, so it is one Python int shared by all lanes;
+    uint32 array products wrap as numpy's uint32_t arithmetic does."""
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L
+        result -= y * _MIX_R
+        result ^= result >> 16
+        return result
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, mult = _INIT_B, _MULT_B
+    state = np.empty((zero.shape[0], 2 * _POOL_WORDS), dtype="<u4")
+    for j in range(2 * _POOL_WORDS):
+        state[:, j] = hashmix(pool[j % _POOL_WORDS])
+    return state.view("<u8").astype(np.uint64)
+
+
+def _stream_words(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The (lanes, 4) uint64 array whose row j is
+    SeedSequence([seed, t[j], i[j]]).generate_state(4, np.uint64), the words
+    that seed worker i[j]'s stream for iteration t[j]; t and i are uint64
+    lane arrays. SeedSequence takes each integer as its uint32 words, so the
+    lanes are hashed in groups of one entropy layout: by whether t and i
+    reach 2**32."""
+    words = np.empty((t.shape[0], 4), dtype=np.uint64)
+    seed_words = _int_words(seed)
+    for wide_t in (False, True):
+        for wide_i in (False, True):
+            lanes = ((t > _M32) == wide_t) & ((i > _M32) == wide_i)
+            if not lanes.any():
+                continue
+            entropy = [np.full(np.count_nonzero(lanes), w, dtype=np.uint32) for w in seed_words]
+            for values, wide in ((t[lanes], wide_t), (i[lanes], wide_i)):
+                entropy.append((values & _M32).astype(np.uint32))
+                if wide:
+                    entropy.append((values >> 32).astype(np.uint32))
+            words[lanes] = _seed_sequence_state(entropy)
+    return words
+
+
+def _iteration_words(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:
+    """Yield iteration t's read-only (n, 4) stream words for t = 1, ...,
+    horizon. The words of a block of max(1, STREAM_LANES // n) iterations
+    are derived together when its first iteration is asked for, in a new
+    array, so a thread still reading an earlier block needs no lock."""
+    per_block = max(1, STREAM_LANES // n)
+    workers = np.arange(n, dtype=np.uint64)
+    for first in range(1, horizon + 1, per_block):
+        ts = np.arange(first, min(first + per_block, horizon + 1), dtype=np.uint64)
+        block = _stream_words(seed, np.repeat(ts, n), np.tile(workers, ts.shape[0]))
+        block = block.reshape(ts.shape[0], n, 4)
+        block.flags.writeable = False
+        yield from block
+
+
+class _StreamWords(ISeedSequence):
+    """A seed sequence that hands PCG64 the words _stream_words derived."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("stream words seed only PCG64")
+        return self.words
+
+
+def _worker_rng(words: np.ndarray) -> np.random.Generator:
+    """The stream seeded by one worker's words of one iteration: the same
+    Generator as default_rng(SeedSequence([seed, t, i]))."""
+    return np.random.Generator(np.random.PCG64(_StreamWords(words)))
+
+
+def _draw_noise(words: np.ndarray, out: np.ndarray, rows: queue.SimpleQueue) -> None:
     """Claim rows until none is left, filling each claimed row i of the
-    (n, dim) array out with worker i's N(0, 1) noise for iteration t.
-    Threads that share rows draw each row once, whole, from its own stream,
-    so out's bits do not depend on which thread drew which row."""
+    (n, dim) array out with worker i's N(0, 1) noise, from the stream that
+    row i of the (n, 4) words seeds. Threads that share rows draw each row
+    once, whole, from its own stream, so out's bits do not depend on which
+    thread drew which row."""
     while True:
         try:
             i = rows.get_nowait()
         except queue.Empty:
             return
-        _worker_rng(seed, t, i).standard_normal(out=out[i])
+        _worker_rng(words[i]).standard_normal(out=out[i])
 
 
 def _share_noise(
-    helper: concurrent.futures.Executor, seed: int, t: int, out: np.ndarray
+    helper: concurrent.futures.Executor, words: np.ndarray, out: np.ndarray
 ) -> tuple[queue.SimpleQueue, concurrent.futures.Future]:
-    """Queue every row of out for iteration t's noise and start the helper
-    drawing them. Return the queue, from which the caller draws the rows the
-    helper has not claimed, and the helper's future."""
+    """Queue every row of out for the noise of the iteration whose words
+    are given and start the helper drawing them. Return the queue, from
+    which the caller draws the rows the helper has not claimed, and the
+    helper's future."""
     rows = queue.SimpleQueue()
     for i in range(out.shape[0]):
         rows.put(i)
-    return rows, helper.submit(_draw_noise, seed, t, out, rows)
+    return rows, helper.submit(_draw_noise, words, out, rows)
 
 
-def _draw_batches(shards: list[np.ndarray], seed: int, t: int, out: np.ndarray) -> None:
+def _draw_batches(shards: list[np.ndarray], words: np.ndarray, out: np.ndarray) -> None:
     """Fill row i of the (n, b) array out with worker i's minibatch sample
-    indices for iteration t, drawn from worker i's own stream."""
+    indices, drawn from the stream that row i of the (n, 4) words seeds."""
     for i, shard in enumerate(shards):
-        out[i] = shard[_worker_rng(seed, t, i).integers(0, shard.shape[0], size=out.shape[1])]
+        out[i] = shard[_worker_rng(words[i]).integers(0, shard.shape[0], size=out.shape[1])]
 
 
 def _check_step_invariants(
@@ -539,11 +651,14 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     # claimed: the draws do not depend on the iterate. A large logistic
     # regression's helper computes half of each product. The helper's thread
     # starts at its first submit, so other problems start none.
+    # every stream's words come from run's thread, a block of iterations
+    # at a time, before anything draws from that block
+    words = _iteration_words(config.seed, config.horizon, config.n_workers)
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
         rows = drawing = None
         for t in range(1, config.horizon + 1):
             if shards is not None:
-                _draw_batches(shards, config.seed, t, batches)
+                _draw_batches(shards, next(words), batches)
                 problem.gradient(state.x, batches, grads, pool=helper)
             else:
                 # every worker gets the one full gradient, plus its own noise
@@ -552,14 +667,16 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                     grads[:] = full
                 else:
                     if drawing is None:
-                        rows, drawing = _share_noise(helper, config.seed, t, noise)
-                    _draw_noise(config.seed, t, noise, rows)
+                        noise_words = next(words)
+                        rows, drawing = _share_noise(helper, noise_words, noise)
+                    _draw_noise(noise_words, noise, rows)
                     drawing.result()
                     # scaled on this thread, under run's errstate, once
                     # both threads are done with iteration t's rows
                     np.multiply(noise, noise_scale, out=grads)
                     if t < config.horizon:
-                        rows, drawing = _share_noise(helper, config.seed, t + 1, noise)
+                        noise_words = next(words)
+                        rows, drawing = _share_noise(helper, noise_words, noise)
                     grads += full
             check = config.check_invariants and state.v_hat is not None
             prev_v_hat = state.v_hat.copy() if check else None

@@ -497,6 +497,43 @@ def test_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch, command, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "{cfg}", "-o", "{out}", "--seed", "abc"],
+    ["run", "{cfg}"],
+    ["run", "{cfg}", "-o", "{out}", "--jobs", "x"],
+    ["bogus"],
+], ids=["seed_abc", "missing_output", "jobs_x", "unknown_command"])
+def test_usage_error_is_one_config_error_line(tmp_path, capsys, monkeypatch, args):
+    # argparse printed its multi-line usage text and exited by itself
+    monkeypatch.setattr(cli, "_run_all", _no_run)
+    cfg = write_config(tmp_path / "c.json", small_quadratic())
+    out = tmp_path / "o"
+    assert main([a.format(cfg=cfg, out=out) for a in args]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_the_machine_cannot_allocate_is_config_error(tmp_path, capsys):
+    # 7.1 PiB of gradients, past x86-64's 128 TiB of user address space, so
+    # the allocation fails at once; it ended in an _ArrayMemoryError
+    # traceback after config.resolved.json was written
+    body = {"problem": {"kind": "quadratic", "dim": 10**15}, "variant": "dense_sgd",
+            "horizon": 1, "n_workers": 1}
+    cfg = write_config(tmp_path / "c.json", body)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "-o", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config" and "allocate" in error["detail"]
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["config.resolved.json"]
+
+
 def test_run_sweep_outputs(tmp_path):
     body = small_quadratic(horizon=15)
     body["sweep"] = {"worker_counts": [1, 2], "threshold": 1e9, "k_values": [2, 4]}

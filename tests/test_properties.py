@@ -1,11 +1,11 @@
 """Property tests for the sparse sketch operator, its wire format, the
-top-m selection and the fused full-batch evaluation.
+top-m selection, the fused full-batch evaluation and the worker streams.
 
 Each property compares the fast path against a plain reference: the
 operator's cells filled row by row, a sorted() ranking, a loop of
 accumulate(), a worker-order sum of per-worker sketches, np.median over
-the rows, and the loss alone and the blocked minibatch gradient over the
-whole dataset as one batch.
+the rows, the loss alone and the blocked minibatch gradient over the
+whole dataset as one batch, and numpy's own SeedSequence and default_rng.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchgrad.compressors import ProtocolConfig, _merged_sketch
-from sketchgrad.simulation import make_logreg, make_quadratic
+from sketchgrad.simulation import _stream_words, _worker_rng, make_logreg, make_quadratic
 from sketchgrad.sketch import (
     CountSketch,
     SketchConfig,
@@ -267,3 +267,32 @@ def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.any((probs > 0) & (probs < np.finfo(float).tiny))
     assert_evaluate_is_loss_and_gradient(problem, x)
+
+
+# iterations and worker indices on both sides of 2**32, where SeedSequence
+# takes an integer as two uint32 words in place of one
+iterations = st.one_of(st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+workers = st.one_of(st.integers(0, 64), st.integers(2**32, 2**64 - 1))
+
+
+@SETTINGS
+@given(st.integers(0, 2**63 - 1), st.lists(st.tuples(iterations, workers), min_size=1, max_size=6))
+@example(0, [(1, 0), (2**32 - 1, 3), (2**32, 9)])
+@example(2**32 - 1, [(2**32 - 1, 0), (2**32, 1)])
+@example(2**32, [(2**32 - 1, 0), (2**32, 1), (5, 2**32)])  # entropy of 4, 5 and 5 words
+@example(2**63 - 1, [(2**32 - 1, 0), (2**32, 2**64 - 1)])  # 6 words
+def test_stream_words_match_numpy_seed_sequence(seed, lanes):
+    t_lanes = np.array([t for t, _ in lanes], dtype=np.uint64)
+    i_lanes = np.array([i for _, i in lanes], dtype=np.uint64)
+    words = _stream_words(seed, t_lanes, i_lanes)
+    assert words.shape == (len(lanes), 4) and words.dtype == np.uint64
+    for (t, i), row in zip(lanes, words):
+        seq = np.random.SeedSequence([seed, t, i])
+        assert np.array_equal(row, seq.generate_state(4, np.uint64))
+        ours, ref = _worker_rng(row), np.random.default_rng(seq)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(ours.standard_normal(3), ref.standard_normal(3))
+        # a 32-bit draw leaves half a 64-bit output buffered (has_uint32)
+        assert ours.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(ours.integers(0, 1000, 5), ref.integers(0, 1000, 5))

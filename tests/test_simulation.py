@@ -360,17 +360,28 @@ def test_shadow_check_scales_with_the_iterates():
 
 @pytest.fixture
 def noise_rows(monkeypatch):
-    """Every (iteration, worker) noise row a run draws, with the thread that
+    """The stream words of every noise row a run draws, with the thread that
     drew it."""
     drawn = []
     worker_rng = simulation._worker_rng
 
-    def recording(seed, t, worker):
-        drawn.append((t, worker, threading.current_thread()))
-        return worker_rng(seed, t, worker)
+    def recording(words):
+        drawn.append((words.tobytes(), threading.current_thread()))
+        return worker_rng(words)
 
     monkeypatch.setattr(simulation, "_worker_rng", recording)
     return drawn
+
+
+def rows_drawn(noise_rows, cfg):
+    """The (iteration, worker) of each drawn row in sorted order, found from
+    its words by numpy's own SeedSequence([seed, t, i]); words of no
+    iteration up to the horizon fail the lookup."""
+    index = {
+        np.random.SeedSequence([cfg.seed, t, i]).generate_state(4, np.uint64).tobytes(): (t, i)
+        for t in range(1, cfg.horizon + 1) for i in range(cfg.n_workers)
+    }
+    return sorted(index[words] for words, _ in noise_rows)
 
 
 def each_row_once(horizon, n_workers):
@@ -382,9 +393,10 @@ def test_numeric_error_mid_run_stops_the_noise_helper(helpers, noise_rows):
     # aborts must not leave it running, and no row is drawn twice
     spec = ProblemSpec(kind="quadratic", dim=30, condition_number=5.0, noise_std=1.0)
     # alpha 1e100 overflows the loss at iteration 2
+    cfg = quad_config(problem=spec, alpha=1e100)
     with pytest.raises(NumericError, match="iteration 2"):
-        run(quad_config(problem=spec, alpha=1e100))
-    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(3, 2)
+        run(cfg)
+    assert rows_drawn(noise_rows, cfg) == each_row_once(3, 2)
     (helper,) = helpers
     assert helper.ran_on and all(th is not threading.main_thread() for th in helper.ran_on)
     assert not any(th.is_alive() for th in helper.ran_on)
@@ -430,18 +442,18 @@ def test_stalled_thread_leaves_its_noise_rows_to_the_other(
     caller = threading.current_thread()
     draw = simulation._draw_noise
 
-    def stalling_draw(seed, t, out, rows):
+    def stalling_draw(words, out, rows):
         if (threading.current_thread() is caller) == (stalled == "run"):
             wait_until_claimed(rows)
-        draw(seed, t, out, rows)
+        draw(words, out, rows)
 
     monkeypatch.setattr(simulation, "_draw_noise", stalling_draw)
     x, records = run(cfg)
     write_trace(records, str(tmp_path / "shared.csv"))
     assert np.array_equal(x, ref_x)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(6, 3)
-    on_run = {th is caller for _, _, th in noise_rows}
+    assert rows_drawn(noise_rows, cfg) == each_row_once(6, 3)
+    on_run = {th is caller for _, th in noise_rows}
     assert on_run == {stalled == "helper"}
 
 
@@ -462,7 +474,48 @@ def test_noise_row_claim_under_frequent_thread_switches(monkeypatch, tmp_path, n
     write_trace(records, str(tmp_path / "shared.csv"))
     assert np.array_equal(x, ref_x)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert sorted((t, i) for t, i, _ in noise_rows) == each_row_once(30, 64)
+    assert rows_drawn(noise_rows, cfg) == each_row_once(30, 64)
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["helper", "inline"])
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(kind="logreg", dim=12, n_classes=3),
+    ProblemSpec(kind="quadratic", dim=30, condition_number=5.0, noise_std=1.0),
+], ids=["logreg", "noisy_quadratic"])
+def test_stream_word_blocks_do_not_show_in_the_run(monkeypatch, tmp_path, spec, inline):
+    # run derives the workers' stream words a block of at most STREAM_LANES
+    # lanes (one iteration's at least) at a time; where the blocks end must
+    # not change a bit, with the helper thread drawing noise or without it
+    cfg = quad_config(problem=spec, variant="ga", horizon=7, n_workers=3)
+
+    def traced(path):
+        if inline:
+            return serial_trace(monkeypatch, cfg, path)
+        x, records = run(cfg)
+        write_trace(records, str(path))
+        return x
+
+    ref_x = traced(tmp_path / "default.csv")
+    derive = simulation._stream_words
+    lanes = []
+
+    def recording(seed, t, i):
+        lanes.append(t.shape[0])
+        return derive(seed, t, i)
+
+    monkeypatch.setattr(simulation, "_stream_words", recording)
+    # 1 and 2 lanes are below n_workers: one iteration a block; 9 lanes are
+    # blocks of 3, 3 and 1 iterations
+    for budget, blocks in ((1, [3] * 7), (2, [3] * 7), (6, [6, 6, 6, 3]), (9, [9, 9, 3])):
+        monkeypatch.setattr(simulation, "STREAM_LANES", budget)
+        lanes.clear()
+        x = traced(tmp_path / f"{budget}.csv")
+        assert lanes == blocks
+        assert np.array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+        assert (tmp_path / f"{budget}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    lanes.clear()
+    x, records = run(dataclasses.replace(cfg, horizon=0))
+    assert records == [] and np.all(x == 0.0) and lanes == []
 
 
 class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
