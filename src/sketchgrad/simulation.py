@@ -65,43 +65,31 @@ BLAS_TILE = 8
 
 @dataclass
 class Problem:
-    """A differentiable objective.
+    """A differentiable objective and, built for a run, its workers' gradients.
 
     ``evaluate(x, pool=None)`` returns the full objective's loss and
     gradient from one shared pass: for logistic regression it computes the
     logits over the whole dataset once, not twice.
 
-    ``gradient(x, batches, out=None, pool=None)`` returns every worker's
-    minibatch gradient from one call. ``batches`` is an ``(n, b)`` array
-    of sample indices, and row i of the ``(n, dim)`` result (``out``, when
-    given) is the mean gradient over row i's samples; one batch is the
-    n = 1 case. Logistic regression works through the workers in blocks of
-    m whose gathered feature rows (m * b rows of 8-byte features) fit in
-    GATHER_BUDGET bytes; a block holds at least one worker. Each block is
-    one gather, one batched logits product, one softmax and one batched
-    ``np.matmul``, which give each row the same bits as that worker's own
-    ``probs.T @ features[batch] / b``.
+    ``gradient(x, t, out, pool)`` fills the ``(n_workers, dim)`` array out
+    with the workers' gradients at x for iteration t, row i worker i's:
+    logistic regression's minibatch gradients (logreg_gradients), or the
+    quadratic's full gradient plus each worker's noise. A Problem from
+    build_problem serves iterations 1, ..., horizon of one run of its
+    config, in order, each once: it holds that run's worker streams.
 
     ``pool`` is a one-thread executor. When half of a logistic regression
     product reads at least SPLIT_BYTES of features, the pool's thread
-    computes that half while the calling thread computes the other: the
-    full-batch logits by sample rows, the full-batch gradient by feature
-    columns and the workers' gradients by workers. Each output element
-    still comes whole from one ``np.matmul`` call over the same reduction
-    and, with OpenBLAS at one thread, from the same kernel, so the result
-    has the same bits as without a pool. The quadratic ignores ``pool``.
-
-    Problems with ``n_samples == 0`` have no dataset: ``gradient(x)``
-    is the full gradient, and their stochasticity comes from additive
-    gradient noise drawn by the harness with ``noise_std``.
+    computes that half (see _split): the full-batch logits by sample rows,
+    the full-batch gradient by feature columns and the workers' gradients
+    by workers. A noisy quadratic's gradient for iteration t starts the
+    pool's thread on iteration t+1's noise rows (see _share_noise). Either
+    way the result has the same bits as without a pool.
     """
 
     dim: int
-    gradient: Callable[..., np.ndarray]
     evaluate: Callable[..., tuple[float, np.ndarray]]
-    n_samples: int = 0
-    labels: np.ndarray | None = None
-    noise_std: float = 0.0
+    gradient: Callable[..., None] | None = None
 
     def loss(self, x: np.ndarray) -> float:
         return self.evaluate(x)[0]
@@ -119,11 +107,12 @@ def _check_quadratic(dim: int, condition_number: float, noise_std: float) -> Non
 
 
 def make_quadratic(
-    dim: int, condition_number: float, seed: int, noise_std: float = 0.0
+    dim: int, condition_number: float, seed: int, noise_std: float = 0.0,
+    config: RunConfig | None = None,
 ) -> Problem:
     """Diagonal quadratic 0.5 (x-x*)' A (x-x*) with eigenvalues log-spaced
-    in [1, condition_number]; stochastic worker gradients add seeded
-    Gaussian noise scaled by 1/sqrt(batch_size)."""
+    in [1, condition_number]. With a config, the workers' gradients of a
+    run of it add seeded Gaussian noise scaled by 1/sqrt(batch_size)."""
     _check_quadratic(dim, condition_number, noise_std)
     rng = np.random.default_rng(seed)
     eigs = np.logspace(0.0, math.log10(condition_number), dim)
@@ -134,15 +123,35 @@ def make_quadratic(
         g = eigs * r
         return float(0.5 * np.dot(r, g)), g
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return eigs * (x - x_star)
+    if config is None:
+        return Problem(dim, evaluate)
+    words = _iteration_words(config.seed, config.horizon, config.n_workers)
+    noise = np.empty((config.n_workers, dim)) if noise_std > 0.0 else None
+    noise_scale = noise_std / math.sqrt(config.batch_size)
+    shared = None  # the words, row queue and helper future of the noise
 
-    return Problem(
-        dim=dim,
-        gradient=gradient,
-        evaluate=evaluate,
-        noise_std=noise_std,
-    )
+    def gradient(x: np.ndarray, t: int, out: np.ndarray, pool) -> None:
+        # every worker gets the one full gradient, plus its own noise
+        nonlocal shared
+        full = eigs * (x - x_star)
+        if noise is None:
+            out[:] = full
+            return
+        if t == 1:
+            shared = _share_noise(pool, next(words), noise)
+        noise_words, rows, drawing = shared
+        _draw_noise(noise_words, noise, rows)
+        drawing.result()
+        # scaled on this thread, under the caller's errstate, once both
+        # threads are done with iteration t's rows
+        np.multiply(noise, noise_scale, out=out)
+        # the pool's thread starts on the next iteration's rows while the
+        # caller steps: the draws do not depend on the iterate
+        if t < config.horizon:
+            shared = _share_noise(pool, next(words), noise)
+        out += full
+
+    return Problem(dim, evaluate, gradient)
 
 
 def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread: float) -> None:
@@ -168,7 +177,10 @@ def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
     while this thread takes [0, mid), when there is a pool, n is a multiple
     of step and [0, mid) reads at least SPLIT_BYTES; the call returns once
     both halves are done. The pool's half runs in a copy of this thread's
-    context, so under its numpy errstate."""
+    context, so under its numpy errstate. Each element of a product still
+    comes whole from one ``np.matmul`` call over the same reduction and,
+    with OpenBLAS at one thread, from the same kernel, so it has the same
+    bits as without a pool."""
     mid = n // 2 // step * step
     if pool is None or n % step or mid * unit_bytes < SPLIT_BYTES:
         part(0, n)
@@ -181,14 +193,59 @@ def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
     half.result()
 
 
+def logreg_gradients(
+    features: np.ndarray, labels: np.ndarray, x: np.ndarray, batches: np.ndarray,
+    out: np.ndarray, pool: concurrent.futures.Executor | None = None,
+) -> np.ndarray:
+    """Every worker's minibatch gradient of the logistic regression on
+    (features, labels) at x, from one call. ``batches`` is an ``(n, b)``
+    array of sample indices, and row i of the ``(n, dim)`` array out, which
+    the call returns, is the mean gradient over row i's samples; one batch
+    is the n = 1 case. The workers go in blocks of m whose gathered feature
+    rows (m * b rows of 8-byte features) fit in GATHER_BUDGET bytes; a block
+    holds at least one worker. Each block is one gather, one batched logits
+    product, one softmax and one batched ``np.matmul``, which give each row
+    the same bits as that worker's own ``probs.T @ features[batch] / b``,
+    with a pool too (see _split)."""
+    n, b = batches.shape
+    n_features = features.shape[1]
+    w_t = x.reshape(-1, n_features).T
+    n_classes = w_t.shape[1]
+    per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
+
+    def workers(first: int, stop: int) -> None:
+        for lo in range(first, stop, per_block):
+            idx = batches[lo : min(lo + per_block, stop)].ravel()
+            m = idx.shape[0] // b
+            xb = features[idx].reshape(m, b, n_features)
+            # one product per worker: one (m*b, F) product crosses OpenBLAS's
+            # small-matrix cutoff at some shapes and sums in another order
+            logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
+            logits -= logits.max(axis=1, keepdims=True)
+            exps = np.exp(logits, out=logits)
+            probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
+            probs[np.arange(m * b), labels[idx]] -= 1.0
+            np.matmul(
+                probs.reshape(m, b, n_classes).transpose(0, 2, 1),
+                xb,
+                out=out[lo : lo + m].reshape(m, n_classes, n_features),
+            )
+
+    _split(pool, b * n_features * 8, n, workers)
+    out /= b
+    return out
+
+
 def make_logreg(
-    n_samples: int, dim: int, n_classes: int, seed: int, class_spread: float = 2.0
+    n_samples: int, dim: int, n_classes: int, seed: int, class_spread: float = 2.0,
+    config: RunConfig | None = None,
 ) -> tuple[Problem, tuple[np.ndarray, np.ndarray]]:
     """Multinomial logistic regression on a synthetic Gaussian mixture.
 
     ``dim`` is the parameter dimension and must be a multiple of
     n_classes; the weight matrix is x reshaped to (n_classes, features).
-    Returns the problem and the (features, labels) dataset.
+    Returns the problem and the (features, labels) dataset. With a config,
+    its workers draw their minibatches from partition_data's shards.
 
     The dataset is held once, n_samples * dim / n_classes * 8 bytes of
     features: the noise is drawn straight into the feature matrix and
@@ -225,45 +282,19 @@ def make_logreg(
         grad /= n_samples
         return loss, grad.reshape(dim)
 
-    def gradient(
-        x: np.ndarray, batches: np.ndarray, out: np.ndarray | None = None, pool=None
-    ) -> np.ndarray:
-        n, b = batches.shape
-        if out is None:
-            out = np.empty((n, dim))
-        w_t = x.reshape(n_classes, n_features).T
-        per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
-
-        def workers(first: int, stop: int) -> None:
-            for lo in range(first, stop, per_block):
-                idx = batches[lo : min(lo + per_block, stop)].ravel()
-                m = idx.shape[0] // b
-                xb = features[idx].reshape(m, b, n_features)
-                # one product per worker: one (m*b, F) product crosses OpenBLAS's
-                # small-matrix cutoff at some shapes and sums in another order
-                logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
-                logits -= logits.max(axis=1, keepdims=True)
-                exps = np.exp(logits, out=logits)
-                probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
-                probs[np.arange(m * b), labels[idx]] -= 1.0
-                np.matmul(
-                    probs.reshape(m, b, n_classes).transpose(0, 2, 1),
-                    xb,
-                    out=out[lo : lo + m].reshape(m, n_classes, n_features),
-                )
-
-        _split(pool, b * n_features * 8, n, workers)
-        out /= b
-        return out
-
-    problem = Problem(
-        dim=dim,
-        gradient=gradient,
-        evaluate=evaluate,
-        n_samples=n_samples,
-        labels=labels,
+    if config is None:
+        return Problem(dim, evaluate), (features, labels)
+    shards = partition_data(
+        labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
     )
-    return problem, (features, labels)
+    batches = np.empty((config.n_workers, config.batch_size), dtype=np.int64)
+    words = _iteration_words(config.seed, config.horizon, config.n_workers)
+
+    def gradient(x: np.ndarray, t: int, out: np.ndarray, pool) -> None:
+        _draw_batches(shards, next(words), batches)
+        logreg_gradients(features, labels, x, batches, out, pool)
+
+    return Problem(dim, evaluate, gradient), (features, labels)
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
@@ -360,11 +391,14 @@ class ProblemSpec:
         _check_logreg(self.n_samples, logreg_dim, self.n_classes, self.class_spread)
 
 
-def build_problem(spec: ProblemSpec, seed: int) -> Problem:
+def build_problem(config: RunConfig) -> Problem:
+    """config's problem, with the workers' gradients of one run of config."""
+    spec = config.problem
     if spec.kind == "quadratic":
-        return make_quadratic(spec.dim, spec.condition_number, seed, spec.noise_std)
-    problem, _ = make_logreg(spec.n_samples, spec.dim, spec.n_classes, seed, spec.class_spread)
-    return problem
+        return make_quadratic(spec.dim, spec.condition_number, config.seed, spec.noise_std, config)
+    return make_logreg(
+        spec.n_samples, spec.dim, spec.n_classes, config.seed, spec.class_spread, config
+    )[0]
 
 
 def check_seed(seed: int) -> None:
@@ -585,15 +619,15 @@ def _draw_noise(words: np.ndarray, out: np.ndarray, rows: queue.SimpleQueue) -> 
 
 def _share_noise(
     helper: concurrent.futures.Executor, words: np.ndarray, out: np.ndarray
-) -> tuple[queue.SimpleQueue, concurrent.futures.Future]:
+) -> tuple[np.ndarray, queue.SimpleQueue, concurrent.futures.Future]:
     """Queue every row of out for the noise of the iteration whose words
-    are given and start the helper drawing them. Return the queue, from
-    which the caller draws the rows the helper has not claimed, and the
-    helper's future."""
+    are given and start the helper drawing them. Return the words, the
+    queue, from which the caller draws the rows the helper has not claimed,
+    and the helper's future."""
     rows = queue.SimpleQueue()
     for i in range(out.shape[0]):
         rows.put(i)
-    return rows, helper.submit(_draw_noise, words, out, rows)
+    return words, rows, helper.submit(_draw_noise, words, out, rows)
 
 
 def _draw_batches(shards: list[np.ndarray], words: np.ndarray, out: np.ndarray) -> None:
@@ -630,54 +664,19 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     that step; that error replaces numpy's overflow and invalid-value
     warnings.
     """
-    problem = build_problem(config.problem, config.seed)
-    shards = batches = None
-    if problem.n_samples > 0:
-        shards = partition_data(
-            problem.labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
-        )
-        batches = np.empty((config.n_workers, config.batch_size), dtype=np.int64)
+    problem = build_problem(config)
     params = config.hyper()
     proto = config.protocol() if config.variant in SKETCHED else None
     state = OptimizerState.initial(
         config.variant, np.zeros(problem.dim), params, track_shadow=config.check_invariants
     )
     grads = np.empty((config.n_workers, problem.dim))
-    noise = np.empty_like(grads) if problem.n_samples == 0 and problem.noise_std > 0.0 else None
-    noise_scale = problem.noise_std / math.sqrt(config.batch_size)
     records: list[TraceRecord] = []
-    # a noisy problem's helper starts on the next iteration's noise rows
-    # while this one steps, and this thread draws the rows it has not
-    # claimed: the draws do not depend on the iterate. A large logistic
-    # regression's helper computes half of each product. The helper's thread
-    # starts at its first submit, so other problems start none.
-    # every stream's words come from run's thread, a block of iterations
-    # at a time, before anything draws from that block
-    words = _iteration_words(config.seed, config.horizon, config.n_workers)
+    # the problem may hand work to the helper (see Problem), whose thread
+    # starts at its first submit
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
-        rows = drawing = None
         for t in range(1, config.horizon + 1):
-            if shards is not None:
-                _draw_batches(shards, next(words), batches)
-                problem.gradient(state.x, batches, grads, pool=helper)
-            else:
-                # every worker gets the one full gradient, plus its own noise
-                full = problem.gradient(state.x)
-                if noise is None:
-                    grads[:] = full
-                else:
-                    if drawing is None:
-                        noise_words = next(words)
-                        rows, drawing = _share_noise(helper, noise_words, noise)
-                    _draw_noise(noise_words, noise, rows)
-                    drawing.result()
-                    # scaled on this thread, under run's errstate, once
-                    # both threads are done with iteration t's rows
-                    np.multiply(noise, noise_scale, out=grads)
-                    if t < config.horizon:
-                        noise_words = next(words)
-                        rows, drawing = _share_noise(helper, noise_words, noise)
-                    grads += full
+            problem.gradient(state.x, t, grads, helper)
             check = config.check_invariants and state.v_hat is not None
             prev_v_hat = state.v_hat.copy() if check else None
             diag = step(state, grads, params, proto, t)

@@ -1,15 +1,23 @@
 """Golden traces: the sha256 of trace.csv for every variant on two small
-problems. A change that keeps the numbers keeps these hashes; a change
-that means to alter them updates the table and says why in CHANGES.md.
+problems and on two at the paper's 60k scale. A change that keeps the
+numbers keeps these hashes; a change that means to alter them updates the
+table and says why in CHANGES.md.
 
-The shapes are small enough (dim <= 60, 30 iterations) that the hashes do
-not depend on the BLAS thread count. The quadratic uses an odd number of
-sketch rows and the logistic regression an even number, so both median
-branches of the point query are pinned.
+The small shapes (dim <= 60, 30 iterations) give hashes that do not depend
+on the BLAS thread count. The quadratic uses an odd number of sketch rows
+and the logistic regression an even number, so both median branches of the
+point query are pinned. The 60k shapes reach what the small ones never do:
+all three split logistic regression products and the noise the helper
+thread draws ahead. Their hashes hold at one BLAS thread, so they are
+computed in a subprocess with OPENBLAS_NUM_THREADS=1.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +77,52 @@ def test_trace_matches_golden_hash(tmp_path, problem, variant):
     config = dataclasses.replace(BASE[problem], variant=variant)
     write_trace(run(config)[1], str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(problem, variant)]
+
+
+# the `small` preset, 8 workers, a few iterations
+PAPER_SCALE_CODE = """
+import dataclasses, hashlib, json, os, sys, tempfile
+from sketchgrad.simulation import ProblemSpec, RunConfig, run, write_trace
+
+base = dict(n_workers=8, rows=5, cols=400, k=500, p_factor=4)
+configs = {
+    "quadratic": RunConfig(problem=ProblemSpec(kind="quadratic", dim=60000, noise_std=1.0),
+                           horizon=4, **base),
+    "logreg": RunConfig(problem=ProblemSpec(kind="logreg", dim=60000, n_samples=2000,
+                                            n_classes=10), horizon=3, **base),
+}
+hashes = {}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trace.csv")
+    for problem, config in configs.items():
+        for variant in sys.argv[1:]:
+            write_trace(run(dataclasses.replace(config, variant=variant))[1], path)
+            with open(path, "rb") as fh:
+                hashes[problem + " " + variant] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(hashes))
+"""
+
+PAPER_SCALE_GOLDEN = {
+    "quadratic dense_amsgrad": "1098310d19b0052835a7e836a8f31395103ae5cb686085c53f4aa29639755c83",
+    "quadratic dense_sgd": "d197f16490c2e9eacca58a2c357176776a1d7b46cefb1a54daf4c90557fd14fd",
+    "quadratic ga": "d330602d947a524d36275f8e3d875f52a668095293d1efe145e70e034ed3afd8",
+    "quadratic pa": "066588f45f9bd204f816321ea409ab2a1ca8775d26e77bd5a6901dd231d6965a",
+    "quadratic sketched_sgd": "e169ebe668ec125c770b7c88da3aa10653cc35aebadf914002a65af74f6df5c4",
+    "logreg dense_amsgrad": "6aa6667415ecfb46581746311dff6a8708ccf7de79dd35ae153bc31f380c90ea",
+    "logreg dense_sgd": "71bf2bb66be8c855cb66dae2d57f4e619c63bd5006ce661a454b7e36e54da4e7",
+    "logreg ga": "99d1e36526d10b0639287b7e4318a4bd303495718081ec425811e416b4f96759",
+    "logreg pa": "ab6c1aaa63e63c8b4690a629198ce897a2ec7d2e27305386d309a3cbfc055f0f",
+    "logreg sketched_sgd": "5efced20522f54f1f4620a5eac4d5c4d43a21613da80a478ec2990f1861e49b0",
+}
+
+
+def test_paper_scale_traces_match_golden_hashes_at_one_blas_thread():
+    import sketchgrad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    variants = sorted({variant for _, variant in GOLDEN})
+    done = subprocess.run([sys.executable, "-c", PAPER_SCALE_CODE, *variants], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == PAPER_SCALE_GOLDEN

@@ -16,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchgrad.compressors import ProtocolConfig, _merged_sketch
-from sketchgrad.simulation import _stream_words, _worker_rng, make_logreg, make_quadratic
+from sketchgrad.simulation import (
+    ProblemSpec,
+    RunConfig,
+    _stream_words,
+    _worker_rng,
+    build_problem,
+    logreg_gradients,
+    make_logreg,
+)
 from sketchgrad.sketch import (
     CountSketch,
     SketchConfig,
@@ -220,23 +228,31 @@ def test_sketch_rows_rejects_bad_input(bad):
         sketch_rows(SketchConfig(rows=2, cols=4, seed=1, dim=5), bad)
 
 
-def assert_evaluate_is_loss_and_gradient(problem, x):
+def assert_evaluate_is_loss_and_gradient(problem, x, full):
     loss, grad = problem.evaluate(x)
     assert loss == problem.loss(x)
-    if problem.n_samples == 0:
-        full = problem.gradient(x)
-    else:
-        # the whole dataset as one worker's batch, through the blocked path
-        full = problem.gradient(x, np.arange(problem.n_samples)[None])[0]
     assert np.array_equal(bits(grad), bits(full))
+
+
+def logreg_full_gradient(features, labels, x):
+    """The whole dataset as one worker's batch, through the blocked path."""
+    batch = np.arange(labels.shape[0])[None]
+    return logreg_gradients(features, labels, x, batch, np.empty((1, x.shape[0])))[0]
 
 
 @SETTINGS
 @given(st.integers(1, 30), st.floats(1.0, 1e6), st.integers(0, 2**32 - 1), st.data())
 def test_quadratic_evaluate_is_loss_and_gradient(dim, condition_number, seed, data):
-    problem = make_quadratic(dim, condition_number, seed)
+    # without noise every worker's gradient is the full gradient
+    spec = ProblemSpec(kind="quadratic", dim=dim, condition_number=condition_number,
+                       noise_std=0.0)
+    problem = build_problem(RunConfig(problem=spec, variant="dense_sgd", horizon=1,
+                                      n_workers=2, seed=seed))
     x = np.array(data.draw(st.lists(values, min_size=dim, max_size=dim)))
-    assert_evaluate_is_loss_and_gradient(problem, x)
+    workers = np.empty((2, dim))
+    problem.gradient(x, 1, workers, None)
+    for full in workers:
+        assert_evaluate_is_loss_and_gradient(problem, x, full)
 
 
 @SETTINGS
@@ -250,23 +266,23 @@ def test_quadratic_evaluate_is_loss_and_gradient(dim, condition_number, seed, da
 )
 def test_logreg_evaluate_is_loss_and_gradient(n_classes, n_features, extra, seed, scale, data):
     dim = n_classes * n_features
-    problem, _ = make_logreg(n_classes + extra, dim, n_classes, seed)
+    problem, (features, labels) = make_logreg(n_classes + extra, dim, n_classes, seed)
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     x = scale * np.array(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
-    assert_evaluate_is_loss_and_gradient(problem, x)
+    assert_evaluate_is_loss_and_gradient(problem, x, logreg_full_gradient(features, labels, x))
 
 
 def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
     # scale x so that the median sample's shifted losing logit is -726:
     # exp(-726) ~ 1e-315 is below the smallest normal float64 (~exp(-708))
-    problem, (features, _) = make_logreg(200, 40, 2, seed=5)
+    problem, (features, labels) = make_logreg(200, 40, 2, seed=5)
     w = np.random.default_rng(6).standard_normal(40)
     margins = np.abs(features @ (w[20:] - w[:20]))
     x = (726.0 / np.median(margins)) * w
     logits = features @ x.reshape(2, 20).T
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.any((probs > 0) & (probs < np.finfo(float).tiny))
-    assert_evaluate_is_loss_and_gradient(problem, x)
+    assert_evaluate_is_loss_and_gradient(problem, x, logreg_full_gradient(features, labels, x))
 
 
 # iterations and worker indices on both sides of 2**32, where SeedSequence

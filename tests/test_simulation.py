@@ -20,6 +20,7 @@ from sketchgrad.simulation import (
     ProblemSpec,
     RunConfig,
     TRACE_FIELDS,
+    logreg_gradients,
     make_logreg,
     make_quadratic,
     partition_data,
@@ -76,16 +77,16 @@ def test_quadratic_at_optimum():
     prob = make_quadratic(10, condition_number=25.0, seed=0)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(10)
-    g = prob.gradient(x)
+    g = prob.evaluate(x)[1]
     x_star = x - g / np.logspace(0, math.log10(25.0), 10)  # invert the diagonal
     assert prob.loss(x_star) == pytest.approx(0.0, abs=1e-20)
-    assert np.allclose(prob.gradient(x_star), 0.0, atol=1e-12)
+    assert np.allclose(prob.evaluate(x_star)[1], 0.0, atol=1e-12)
 
 
 def test_quadratic_identity_condition():
     prob = make_quadratic(6, condition_number=1.0, seed=3)
     x = np.random.default_rng(2).standard_normal(6)
-    g = prob.gradient(x)
+    g = prob.evaluate(x)[1]
     # A = I, so the gradient drop recovers x_star and loss is 0.5*|g|^2
     assert prob.loss(x) == pytest.approx(0.5 * float(np.dot(g, g)), rel=1e-12)
 
@@ -94,7 +95,7 @@ def test_quadratic_finite_differences():
     prob = make_quadratic(8, condition_number=10.0, seed=5)
     x = np.random.default_rng(6).standard_normal(8)
     fd = finite_difference_gradient(prob.loss, x)
-    an = prob.gradient(x)
+    an = prob.evaluate(x)[1]
     assert np.max(np.abs(fd - an)) / max(1.0, np.max(np.abs(an))) <= 1e-6
 
 
@@ -123,7 +124,7 @@ def test_logreg_finite_differences():
     assert np.max(np.abs(fd - an)) / max(1.0, np.max(np.abs(an))) <= 1e-5
     batch = np.array([0, 5, 17])
     fd_b = finite_difference_gradient(lambda z: reference_logreg_loss(X, y, z, batch), x)
-    an_b = prob.gradient(x, batch[None])[0]
+    an_b = logreg_gradients(X, y, x, batch[None], np.empty((1, 12)))[0]
     assert np.max(np.abs(fd_b - an_b)) / max(1.0, np.max(np.abs(an_b))) <= 1e-5
 
 
@@ -138,7 +139,8 @@ def test_logreg_single_sample_hand_gradient():
     p = np.exp(logits - logits.max())
     p /= p.sum()
     expect = np.array([(p[0] - (y[0] == 0)) * z, (p[1] - (y[0] == 1)) * z])
-    assert np.allclose(prob.gradient(x, batches)[0], expect, rtol=1e-12, atol=1e-12)
+    grad = logreg_gradients(X, y, x, batches, np.empty((1, 2)))[0]
+    assert np.allclose(grad, expect, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +162,7 @@ def test_blocked_logreg_gradient_is_bit_equal_to_per_worker(
         x = scale * rng.standard_normal(prob.dim)
         batches = rng.integers(0, 200, size=(n_workers, batch_size))
         out = np.empty((n_workers, prob.dim))
-        assert prob.gradient(x, batches, out) is out
+        assert logreg_gradients(X, y, x, batches, out) is out
         ref = np.array([reference_logreg_gradient(X, y, x, batch) for batch in batches])
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
@@ -563,36 +565,36 @@ def test_split_logreg_products_match_the_single_thread_path(
 ):
     assert 512 * 1024 * 8 == SPLIT_BYTES  # the first case is the smallest that splits
     dim = n_classes * n_features
-    problem, _ = make_logreg(n_samples, dim, n_classes, seed=3)
+    problem, (features, labels) = make_logreg(n_samples, dim, n_classes, seed=3)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(dim)
     batches = rng.integers(0, n_samples, size=(4, batch_size))
     with RecordingExecutor(1) as pool:
         loss, grad = problem.evaluate(x, pool=pool)
         out = np.empty((4, dim))
-        assert problem.gradient(x, batches, out, pool=pool) is out
+        assert logreg_gradients(features, labels, x, batches, out, pool=pool) is out
     ref_loss, ref_grad = problem.evaluate(x)
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
-    assert np.array_equal(out, problem.gradient(x, batches))
+    assert np.array_equal(out, logreg_gradients(features, labels, x, batches, np.empty((4, dim))))
     assert len(pool.ran_on) == submits
 
 
 SPLIT_BITS_CODE = """
 import concurrent.futures
 import numpy as np
-from sketchgrad.simulation import make_logreg
+from sketchgrad.simulation import logreg_gradients, make_logreg
 
 for n_samples, n_classes, n_features in [(1024, 2, 1024), (6000, 18, 195)]:
     dim = n_classes * n_features
-    problem, _ = make_logreg(n_samples, dim, n_classes, seed=3)
+    problem, (features, labels) = make_logreg(n_samples, dim, n_classes, seed=3)
     x = np.random.default_rng(4).standard_normal(dim)
     batches = np.random.default_rng(5).integers(0, n_samples, size=(4, 256))
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         loss, grad = problem.evaluate(x, pool=pool)
-        grads = problem.gradient(x, batches, pool=pool)
+        grads = logreg_gradients(features, labels, x, batches, np.empty((4, dim)), pool)
     ref_loss, ref_grad = problem.evaluate(x)
-    print(loss == ref_loss, np.array_equal(grad, ref_grad),
-          np.array_equal(grads, problem.gradient(x, batches)))
+    ref = logreg_gradients(features, labels, x, batches, np.empty((4, dim)))
+    print(loss == ref_loss, np.array_equal(grad, ref_grad), np.array_equal(grads, ref))
 """
 
 
@@ -639,23 +641,20 @@ def test_small_logreg_run_submits_nothing_to_the_helper(helpers):
 @pytest.mark.parametrize("kind", ["quadratic", "logreg"])
 def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
     # per iteration, one fused evaluate and one call for the workers'
-    # gradients: all n minibatch gradients for logreg, and for the quadratic
-    # one full gradient that every worker shares; the trace must not go back
-    # to separate full-batch loss and gradient calls
+    # gradients, for iterations 1, ..., horizon in order; the trace must
+    # not go back to separate full-batch loss and gradient calls
     import sketchgrad.simulation as sim
 
-    calls = {"worker_gradient": 0, "full_gradient": 0, "loss": 0, "evaluate": 0}
+    calls = {"gradient": [], "loss": 0, "evaluate": 0}
     build = sim.build_problem
 
-    def counting_build(spec, seed):
-        problem = build(spec, seed)
+    def counting_build(config):
+        problem = build(config)
         gradient, loss, evaluate = problem.gradient, problem.loss, problem.evaluate
 
-        def counted_gradient(x, *args, **kwargs):
-            # quadratic workers have no dataset and pass no batches
-            full = not args and problem.n_samples > 0
-            calls["full_gradient" if full else "worker_gradient"] += 1
-            return gradient(x, *args, **kwargs)
+        def counted_gradient(x, t, *args, **kwargs):
+            calls["gradient"].append(t)
+            return gradient(x, t, *args, **kwargs)
 
         def counted_loss(x):
             calls["loss"] += 1
@@ -676,7 +675,7 @@ def test_run_evaluates_full_objective_once_per_iteration(monkeypatch, kind):
                     p_factor=2, rows=3, cols=8, batch_size=4, seed=2)
     _, records = run(cfg)
     assert len(records) == 7
-    assert calls == {"worker_gradient": 7, "full_gradient": 0, "loss": 0, "evaluate": 7}
+    assert calls == {"gradient": list(range(1, 8)), "loss": 0, "evaluate": 7}
 
 
 def test_dense_amsgrad_loss_decreasing_after_burn_in():
@@ -697,7 +696,7 @@ def test_gradient_unbiasedness_iid():
     rng = np.random.default_rng(5)
     for _ in range(2500):
         batches = np.array([shard[rng.integers(0, len(shard), 16)] for shard in shards])
-        draws.append(prob.gradient(x, batches))
+        draws.append(logreg_gradients(X, y, x, batches, np.empty((4, 20))))
     draws = np.concatenate(draws)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - full) <= 3.0 * se + 1e-12)
