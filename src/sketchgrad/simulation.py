@@ -287,12 +287,10 @@ def make_logreg(
     shards = partition_data(
         labels, config.n_workers, config.partition_mode, config.skew_param, config.seed
     )
-    batches = np.empty((config.n_workers, config.batch_size), dtype=np.int64)
-    words = _iteration_words(config.seed, config.horizon, config.n_workers)
+    batches = _minibatches(shards, config.seed, config.horizon, config.batch_size)
 
     def gradient(x: np.ndarray, t: int, out: np.ndarray, pool) -> None:
-        _draw_batches(shards, next(words), batches)
-        logreg_gradients(features, labels, x, batches, out, pool)
+        logreg_gradients(features, labels, x, next(batches), out, pool)
 
     return Problem(dim, evaluate, gradient), (features, labels)
 
@@ -570,11 +568,11 @@ def _stream_words(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
     return words
 
 
-def _iteration_words(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:
-    """Yield iteration t's read-only (n, 4) stream words for t = 1, ...,
-    horizon. The words of a block of max(1, STREAM_LANES // n) iterations
-    are derived together when its first iteration is asked for, in a new
-    array, so a thread still reading an earlier block needs no lock."""
+def _word_blocks(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:
+    """Yield the read-only (iterations, n, 4) stream words of iterations
+    1, ..., horizon, a block of max(1, STREAM_LANES // n) iterations at a
+    time. Each block is derived when it is asked for, in a new array, so a
+    thread still reading an earlier block needs no lock."""
     per_block = max(1, STREAM_LANES // n)
     workers = np.arange(n, dtype=np.uint64)
     for first in range(1, horizon + 1, per_block):
@@ -582,6 +580,12 @@ def _iteration_words(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:
         block = _stream_words(seed, np.repeat(ts, n), np.tile(workers, ts.shape[0]))
         block = block.reshape(ts.shape[0], n, 4)
         block.flags.writeable = False
+        yield block
+
+
+def _iteration_words(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:
+    """Yield iteration t's read-only (n, 4) stream words for t = 1, ..., horizon."""
+    for block in _word_blocks(seed, horizon, n):
         yield from block
 
 
@@ -630,11 +634,86 @@ def _share_noise(
     return words, rows, helper.submit(_draw_noise, words, out, rows)
 
 
-def _draw_batches(shards: list[np.ndarray], words: np.ndarray, out: np.ndarray) -> None:
-    """Fill row i of the (n, b) array out with worker i's minibatch sample
-    indices, drawn from the stream that row i of the (n, 4) words seeds."""
-    for i, shard in enumerate(shards):
-        out[i] = shard[_worker_rng(words[i]).integers(0, shard.shape[0], size=out.shape[1])]
+def _add128(hi, lo, add_hi, add_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, each 128-bit lane value
+    held as uint64 arrays of its high and low words."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One step of PCG64's LCG over lanes, state * multiplier + inc mod
+    2**128. uint64 arrays wrap mod 2**64; the high word of the full
+    product lo * mult_lo comes from its four 32-bit partial products,
+    whose sums fit in 64 bits."""
+    # the multiplier's 64-bit words (numpy/random/src/pcg64/pcg64.h), and
+    # the low word's 32-bit halves
+    mult_hi, mult_lo = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+    m1, m0 = mult_lo >> 32, mult_lo & _M32
+    a0, a1 = lo & _M32, lo >> 32
+    p01, p10 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    hi = carry + hi * mult_lo + lo * mult_hi
+    return _add128(hi, lo * mult_lo, inc_hi, inc_lo)
+
+
+def _pcg_outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """The (lanes, count) little-endian uint64 array whose row j is
+    _worker_rng(words[j]).bit_generator.random_raw(count), for (lanes, 4)
+    uint64 stream words: numpy's PCG64 seeding and XSL-RR outputs."""
+    w0, w1, w2, w3 = words.T
+    # seed = w0:w1 and inc = (w2:w3) << 1 | 1; the state starts at 0, steps
+    # to inc, adds the seed and steps again
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo)
+    raw = np.empty((words.shape[0], count), dtype="<u8")
+    for k in range(count):
+        # each output steps first, then rotates hi ^ lo right by hi >> 58
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> 58
+        raw[:, k] = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return raw
+
+
+def _bounded_draws(words: np.ndarray, sizes: np.ndarray, b: int) -> np.ndarray:
+    """The (lanes, b) int64 array whose row j is
+    _worker_rng(words[j]).integers(0, sizes[j], size=b), for (lanes, 4)
+    uint64 stream words and uint64 sizes of at least 1, from one numpy pass
+    over all lanes: the 32-bit halves of the PCG64 outputs, low first, and
+    Lemire's bounded draw (arXiv 1805.10941) as numpy's
+    buffered_bounded_lemire_uint32 computes it. A lane that numpy would
+    redraw (a rejected draw) or that takes another of numpy's paths (a size
+    of 2**32 or more) is drawn by numpy itself."""
+    m = _pcg_outputs(words, (b + 1) // 2).view("<u4")[:, :b] * sizes[:, None]
+    # the leftover below (2**32 - s) % s marks a draw numpy rejects
+    rejected = ((m & _M32) < ((2**32 - sizes) % sizes)[:, None]).any(axis=1)
+    draws = (m >> 32).view(np.int64)
+    for j in np.flatnonzero(rejected | (sizes > _M32)):
+        draws[j] = _worker_rng(words[j]).integers(0, int(sizes[j]), size=b)
+    return draws
+
+
+def _minibatches(
+    shards: list[np.ndarray], seed: int, horizon: int, b: int
+) -> Iterator[np.ndarray]:
+    """Yield iteration t's (n, b) minibatch sample indices for t = 1, ...,
+    horizon: row i is shards[i][_worker_rng(words).integers(0, len(shards[i]),
+    size=b)] with worker i's stream words of iteration t. Each block of
+    stream words is drawn in chunks of whole iterations of at most
+    32 * STREAM_LANES draws, so each uint64 temporary of a chunk holds at
+    most 1 MiB, eight times a block's words; a chunk holds one iteration at
+    least."""
+    n = len(shards)
+    sizes = np.array([shard.shape[0] for shard in shards], dtype=np.uint64)
+    starts = (np.cumsum(sizes) - sizes).astype(np.int64)[:, None]
+    samples = np.concatenate(shards)
+    per_chunk = max(1, 32 * STREAM_LANES // (n * b))
+    for block in _word_blocks(seed, horizon, n):
+        for first in range(0, block.shape[0], per_chunk):
+            words = block[first : first + per_chunk].reshape(-1, 4)
+            draws = _bounded_draws(words, np.tile(sizes, words.shape[0] // n), b)
+            yield from samples[starts + draws.reshape(-1, n, b)]
 
 
 def _check_step_invariants(

@@ -5,7 +5,8 @@ Each property compares the fast path against a plain reference: the
 operator's cells filled row by row, a sorted() ranking, a loop of
 accumulate(), a worker-order sum of per-worker sketches, np.median over
 the rows, the loss alone and the blocked minibatch gradient over the
-whole dataset as one batch, and numpy's own SeedSequence and default_rng.
+whole dataset as one batch, and numpy's own SeedSequence, PCG64 and
+default_rng.
 """
 
 import itertools
@@ -19,6 +20,8 @@ from sketchgrad.compressors import ProtocolConfig, _merged_sketch
 from sketchgrad.simulation import (
     ProblemSpec,
     RunConfig,
+    _bounded_draws,
+    _pcg_outputs,
     _stream_words,
     _worker_rng,
     build_problem,
@@ -312,3 +315,36 @@ def test_stream_words_match_numpy_seed_sequence(seed, lanes):
         assert ours.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
         assert ours.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(ours.integers(0, 1000, 5), ref.integers(0, 1000, 5))
+
+
+# shard sizes at the edges of numpy's bounded draw: 1 takes its rng == 0
+# path; at 2**31 + 1 about half of all first draws are rejected, so numpy
+# redraws them; 2**32 - 1 is the largest size for the 32-bit Lemire draw;
+# 2**32 takes the plain 32-bit path and 2**32 + 5 the 64-bit one
+shard_sizes = st.one_of(
+    st.sampled_from([1, 2, 3, 50, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 5]),
+    st.integers(1, 2**32 + 5),
+)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**63 - 1),
+    st.lists(st.tuples(iterations, workers, shard_sizes), min_size=1, max_size=6),
+    st.sampled_from([1, 2, 3, 8, 33]),  # an odd b leaves half an output unused
+)
+@example(11, [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 50), (2**32, 4, 2**31 + 1),
+              (2, 2**32, 2**32 - 1), (3, 5, 2**32), (2**64 - 1, 6, 2**32 + 5)], 33)
+@example(0, [(t, i, 50) for t in (1, 2) for i in range(10)], 8)  # accept-d50's shape
+def test_bounded_draws_match_numpy_integers(seed, lanes, b):
+    t_lanes = np.array([t for t, _, _ in lanes], dtype=np.uint64)
+    i_lanes = np.array([i for _, i, _ in lanes], dtype=np.uint64)
+    sizes = np.array([s for _, _, s in lanes], dtype=np.uint64)
+    words = _stream_words(seed, t_lanes, i_lanes)
+    draws = _bounded_draws(words, sizes, b)
+    outputs = _pcg_outputs(words, 3)
+    assert draws.shape == (len(lanes), b) and draws.dtype == np.int64
+    for (t, i, s), row, raw in zip(lanes, draws, outputs):
+        seq = np.random.SeedSequence([seed, t, i])
+        assert np.array_equal(raw, np.random.PCG64(seq).random_raw(3))
+        assert np.array_equal(row, np.random.default_rng(seq).integers(0, s, size=b))

@@ -520,6 +520,78 @@ def test_stream_word_blocks_do_not_show_in_the_run(monkeypatch, tmp_path, spec, 
     assert records == [] and np.all(x == 0.0) and lanes == []
 
 
+def numpy_minibatches(cfg):
+    """Each iteration's (n, b) minibatches of a logreg run of cfg, drawn
+    worker by worker from numpy's default_rng(SeedSequence([seed, t, i]))."""
+    spec = cfg.problem
+    labels = make_logreg(spec.n_samples, spec.dim, spec.n_classes, cfg.seed)[1][1]
+    shards = partition_data(labels, cfg.n_workers, cfg.partition_mode, cfg.skew_param, cfg.seed)
+    return [
+        np.stack([
+            shard[np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
+                  .integers(0, shard.shape[0], size=cfg.batch_size)]
+            for i, shard in enumerate(shards)
+        ])
+        for t in range(1, cfg.horizon + 1)
+    ]
+
+
+def test_draw_chunks_do_not_show_in_the_run(monkeypatch, tmp_path):
+    # a block of stream words is drawn in chunks of whole iterations of at
+    # most 32 * STREAM_LANES draws, one iteration's at least; where the
+    # chunks end must not change a bit, and every minibatch is numpy's draw
+    spec = ProblemSpec(kind="logreg", dim=12, n_classes=3)
+    cfg = quad_config(problem=spec, variant="ga", horizon=7, n_workers=3, batch_size=40,
+                      partition_mode="label_skew", skew_param=0.3)
+    expected = numpy_minibatches(cfg)
+    gradients, draws = simulation.logreg_gradients, simulation._bounded_draws
+    batches, lanes = [], []
+
+    def recording_gradients(features, labels, x, batch, out, pool=None):
+        batches.append(batch.copy())
+        return gradients(features, labels, x, batch, out, pool)
+
+    def recording_draws(words, sizes, b):
+        lanes.append(words.shape[0])
+        return draws(words, sizes, b)
+
+    monkeypatch.setattr(simulation, "logreg_gradients", recording_gradients)
+    monkeypatch.setattr(simulation, "_bounded_draws", recording_draws)
+    ref_x, records = run(cfg)
+    write_trace(records, str(tmp_path / "default.csv"))
+    assert lanes == [21]
+    assert len(batches) == 7 and all(map(np.array_equal, batches, expected))
+    # 3 workers draw 120 an iteration: 9 lanes make blocks of 3, 3 and 1
+    # iterations, and chunks of 2 iterations (288 draws); 20 lanes make
+    # blocks of 6 and 1, and chunks of 5; with 1 lane every chunk is one
+    # iteration, though its 120 draws are over 32
+    for budget, chunks in ((1, [3] * 7), (9, [6, 3, 6, 3, 3]), (20, [15, 3, 3])):
+        monkeypatch.setattr(simulation, "STREAM_LANES", budget)
+        batches.clear()
+        lanes.clear()
+        x, records = run(cfg)
+        write_trace(records, str(tmp_path / f"{budget}.csv"))
+        assert lanes == chunks
+        assert all(map(np.array_equal, batches, expected))
+        assert np.array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+        assert (tmp_path / f"{budget}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_logreg_run_builds_no_stream_generator(monkeypatch):
+    # every minibatch comes from the one block pass over PCG64 and Lemire's
+    # draw; no (worker, iteration) stream gets a Generator of its own
+    def no_generator(words):
+        raise AssertionError("a logreg run built a stream Generator")
+
+    monkeypatch.setattr(simulation, "_worker_rng", no_generator)
+    spec = ProblemSpec(kind="logreg", dim=50, n_samples=500, n_classes=10)
+    cfg = RunConfig(problem=spec, variant="ga", horizon=20, n_workers=10, k=5, p_factor=4,
+                    rows=5, cols=25, batch_size=8, partition_mode="label_skew",
+                    skew_param=0.1, seed=3)
+    x, records = run(cfg)
+    assert len(records) == 20 and np.all(np.isfinite(x))
+
+
 class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
     """A thread pool that records the thread each submitted call ran on."""
 
