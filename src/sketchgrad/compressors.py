@@ -41,9 +41,9 @@ class SparseUpdate:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError("indices out of range")
-            if np.any(np.diff(idx) <= 0):
+            if (idx[1:] <= idx[:-1]).any():
                 raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise ValueError("values must be finite")
 
     def densify(self) -> np.ndarray:
@@ -113,12 +113,23 @@ def sign_compress(vector: np.ndarray) -> np.ndarray:
 
 def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
     """Mean of the rows (of a list or a 2-d array) accumulated in row
-    order; the fixed order keeps runs reproducible and lets tests rebuild
-    the exact float result."""
-    acc = np.zeros_like(rows[0])
-    for r in rows:
-        np.add(acc, r, out=acc)
-    return acc / len(rows)
+    order from +0.0, as a loop of acc += row; the fixed order keeps runs
+    reproducible and lets tests rebuild the exact float result.
+
+    One reduction, not a loop that pays numpy's call cost per row. numpy
+    reduces the outer axis of a C-ordered array row by row, in the loop's
+    order, but sums an F-ordered array (a transposed sketch product) and
+    rows of one element pairwise, which rounds otherwise from 8 rows on.
+    So the rows are made C-ordered, and one-element rows go through
+    np.add.accumulate, sequential by definition, + 0.0 for the loop's +0.0.
+    """
+    rows = np.ascontiguousarray(rows)
+    n = rows.shape[0]
+    if n == 0:
+        raise ValueError("no rows to average")
+    if rows.size == n:
+        return (np.add.accumulate(rows, axis=0)[-1] + 0.0) / n
+    return np.add.reduce(rows, axis=0, initial=0.0) / n
 
 
 def _merged_sketch(payloads: np.ndarray, cfg: ProtocolConfig) -> CountSketch:
@@ -147,7 +158,7 @@ def sketched_topk_aggregate(
         v_hat = np.asarray(v_hat, dtype=np.float64)
         if v_hat.shape != (cfg.sketch.dim,):
             raise ValueError("v_hat length must equal dim")
-        if not np.all(v_hat > 0):
+        if not (v_hat > 0).all():
             raise ValueError("v_hat must be strictly positive")
         scale = np.sqrt(v_hat)
         candidates = top_m(np.abs(merged.estimate_all() / scale), cfg.n_candidates)

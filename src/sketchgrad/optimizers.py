@@ -149,9 +149,10 @@ def _check_grads(grads, n: int, dim: int, t: int) -> np.ndarray:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != (n, dim):
         raise ValueError(f"gradient shape {grads.shape} does not match (n_workers, dim) {(n, dim)}")
-    bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
-    if bad.size:
-        raise NumericError(f"non-finite gradient from worker {bad[0]} at iteration {t}")
+    if not np.isfinite(grads).all():
+        # the per-worker pass runs only to name the first bad worker
+        bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))[0]
+        raise NumericError(f"non-finite gradient from worker {bad} at iteration {t}")
     return grads
 
 
@@ -229,7 +230,7 @@ def step(
     # every mean the aggregation takes is a coordinate of target, so a
     # finite target also rules out an overflowing sum of finite payloads
     target = sequential_mean(payloads)
-    if not np.all(np.isfinite(target)):
+    if not np.isfinite(target).all():
         raise NumericError(f"non-finite payload mean at iteration {t}")
     agg = sketched_topk_aggregate(payloads, cfg, v_hat=state.v_hat if variant == "ga" else None)
     chosen = agg.global_update.indices

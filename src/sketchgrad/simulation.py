@@ -193,6 +193,15 @@ def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
     half.result()
 
 
+def _shift_by_row_max(logits: np.ndarray) -> None:
+    """Subtract each row's max from the (rows, n_classes) logits, in place.
+    The max runs along axis 0 of a C-ordered transposed copy: along axis 1
+    numpy calls its inner loop once per row. A max is exact, so only a zero
+    max's sign can differ from max(axis=1), and l - (+-0) then differs only
+    in the sign of a zero, whose exp is 1 either way."""
+    logits -= np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+
+
 def logreg_gradients(
     features: np.ndarray, labels: np.ndarray, x: np.ndarray, batches: np.ndarray,
     out: np.ndarray, pool: concurrent.futures.Executor | None = None,
@@ -212,6 +221,8 @@ def logreg_gradients(
     w_t = x.reshape(-1, n_features).T
     n_classes = w_t.shape[1]
     per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
+    # each gathered row's offset in the flat (m * b * n_classes) probabilities
+    row_offsets = np.arange(min(n, per_block) * b) * n_classes
 
     def workers(first: int, stop: int) -> None:
         for lo in range(first, stop, per_block):
@@ -221,10 +232,12 @@ def logreg_gradients(
             # one product per worker: one (m*b, F) product crosses OpenBLAS's
             # small-matrix cutoff at some shapes and sums in another order
             logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
-            logits -= logits.max(axis=1, keepdims=True)
+            _shift_by_row_max(logits)
             exps = np.exp(logits, out=logits)
             probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
-            probs[np.arange(m * b), labels[idx]] -= 1.0
+            label_entries = labels[idx]
+            label_entries += row_offsets[: m * b]
+            probs.reshape(-1)[label_entries] -= 1.0
             np.matmul(
                 probs.reshape(m, b, n_classes).transpose(0, 2, 1),
                 xb,
@@ -263,19 +276,21 @@ def make_logreg(
     for lo in range(0, n_samples, per_block):
         features[lo : lo + per_block] += centers[labels[lo : lo + per_block]]
 
-    rows = np.arange(n_samples)
+    # each sample's label entry in the flat (n_samples * n_classes) logits
+    label_entries = np.arange(n_samples) * n_classes + labels
 
     def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
         w_t = x.reshape(n_classes, n_features).T
         logits = np.empty((n_samples, n_classes))
         _split(pool, n_features * 8, n_samples,
                lambda lo, hi: np.matmul(features[lo:hi], w_t, out=logits[lo:hi]), BLAS_TILE)
-        logits = logits - logits.max(axis=1, keepdims=True)
+        _shift_by_row_max(logits)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
-        loss = float(np.mean(np.log(sums) - logits[rows, labels]))
+        # the sum and the division np.mean makes, without its wrapper
+        loss = float(np.add.reduce(np.log(sums) - logits.reshape(-1)[label_entries]) / n_samples)
         probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
-        probs[rows, labels] -= 1.0
+        probs.reshape(-1)[label_entries] -= 1.0
         grad = np.empty((n_classes, n_features))
         _split(pool, n_samples * 8, n_features,
                lambda lo, hi: np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi]), BLAS_TILE)
@@ -728,9 +743,9 @@ def _check_step_invariants(
                 f"shadow identity violated at iteration {t}: gap {diag.shadow_gap:.3e} "
                 f"> {SHADOW_GAP_TOL:.0e} * {scale:.3e}"
             )
-    if prev_v_hat is not None and np.any(state.v_hat < prev_v_hat):
+    if prev_v_hat is not None and (state.v_hat < prev_v_hat).any():
         raise InvariantViolation(f"v_hat decreased at iteration {t}")
-    if state.e is not None and np.any(state.e[:, state.last_indices] != 0.0):
+    if state.e is not None and (state.e[:, state.last_indices] != 0.0).any():
         raise InvariantViolation(f"error not zero on chosen set at iteration {t}")
 
 
@@ -761,9 +776,10 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
             diag = step(state, grads, params, proto, t)
             loss, full_grad = problem.evaluate(state.x, pool=helper)
             grad_norm_sq = float(np.dot(full_grad, full_grad))
-            checked = (("iterate", state.x), ("train_loss", loss), ("grad_norm_sq", grad_norm_sq))
-            for name, value in checked:
-                if not np.all(np.isfinite(value)):
+            for name, finite in (("iterate", np.isfinite(state.x).all()),
+                                 ("train_loss", math.isfinite(loss)),
+                                 ("grad_norm_sq", math.isfinite(grad_norm_sq))):
+                if not finite:
                     raise NumericError(f"non-finite {name} at iteration {t}")
             if config.check_invariants:
                 _check_step_invariants(state, diag, prev_v_hat, t)

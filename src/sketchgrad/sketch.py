@@ -303,7 +303,7 @@ def sketch_rows(config: SketchConfig, vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != config.dim:
         raise ValueError(f"vectors shape {vectors.shape} does not match (n, {config.dim})")
-    if not np.all(np.isfinite(vectors)):
+    if not np.isfinite(vectors).all():
         raise ValueError("vectors must be finite")
     return _operator(config) @ vectors.T
 

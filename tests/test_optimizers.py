@@ -132,6 +132,16 @@ def test_pa_step_nan_gradient():
         step(st, [np.array([1.0, float("nan")])], p, proto(2, 1), 3)
 
 
+def test_nan_gradient_names_the_first_bad_worker():
+    p = hp(n_workers=10)
+    st = init("pa", p, dim=2)
+    grads = np.ones((10, 2))
+    grads[3, 1] = np.nan
+    grads[4:, 0] = np.inf  # later bad workers do not change the name
+    with pytest.raises(NumericError, match="^non-finite gradient from worker 3 at iteration 3$"):
+        step(st, grads, p, proto(2, 1), 3)
+
+
 def test_pa_error_zero_on_chosen_and_carried():
     p = hp(n_workers=1, horizon=10)
     d = 10

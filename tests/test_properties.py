@@ -1,22 +1,25 @@
 """Property tests for the sparse sketch operator, its wire format, the
-top-m selection, the fused full-batch evaluation and the worker streams.
+top-m selection, the worker-order mean, the fused full-batch evaluation
+and the worker streams.
 
 Each property compares the fast path against a plain reference: the
 operator's cells filled row by row, a sorted() ranking, a loop of
-accumulate(), a worker-order sum of per-worker sketches, np.median over
-the rows, the loss alone and the blocked minibatch gradient over the
-whole dataset as one batch, and numpy's own SeedSequence, PCG64 and
-default_rng.
+accumulate(), a worker-order sum of per-worker sketches, a loop over
+the rows, np.median over the rows, the loss alone and the blocked
+minibatch gradient over the whole dataset as one batch, the logistic
+regression formulas with a row-wise max, a 2-d label index and np.mean,
+and numpy's own SeedSequence, PCG64 and default_rng.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sketchgrad.compressors import ProtocolConfig, _merged_sketch
+from sketchgrad.compressors import ProtocolConfig, _merged_sketch, sequential_mean
 from sketchgrad.simulation import (
     ProblemSpec,
     RunConfig,
@@ -167,6 +170,63 @@ def test_merged_sketch_sums_workers_in_order(cfg, n, data):
     assert np.array_equal(bits(merged.table), bits(want.table))
 
 
+def worker_order_mean(rows):
+    """The mean as a loop over the rows: acc = 0; acc += row; then / n."""
+    acc = np.zeros_like(rows[0])
+    for row in rows:
+        acc += row
+    return acc / len(rows)
+
+
+# the layouts sequential_mean is handed: numpy reduces an F-ordered array,
+# and rows of one element, pairwise unless the mean takes care
+mean_layouts = {
+    "C-ordered": lambda m, rng: m,
+    "F-ordered": lambda m, rng: np.asfortranarray(m),
+    "strided": lambda m, rng: np.repeat(m, 2, axis=1)[:, ::2],
+    "gathered by column": lambda m, rng: m[:, rng.permutation(m.shape[1])],
+    "list of rows": lambda m, rng: list(m),
+    "1-d": lambda m, rng: m[:, 0],
+    "width 1": lambda m, rng: m[:, :1],
+    # the (n, rows*cols) F-ordered view _merged_sketch averages
+    "sketch_rows(...).T": lambda m, rng: sketch_rows(
+        SketchConfig(rows=int(rng.integers(1, 4)), cols=int(rng.integers(1, 9)),
+                     seed=int(rng.integers(2**63)), dim=m.shape[1]),
+        m,
+    ).T,
+}
+
+
+@SETTINGS
+@given(
+    st.integers(1, 24),
+    st.integers(1, 9),
+    st.sampled_from(sorted(mean_layouts)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+# from 8 rows on, a pairwise sum rounds otherwise than the loop
+@example(12, 4, "F-ordered", 0, False)
+@example(12, 1, "1-d", 0, False)
+@example(12, 3, "width 1", 0, True)
+@example(12, 5, "sketch_rows(...).T", 0, False)
+def test_sequential_mean_is_the_worker_order_loop(n, width, layout, seed, zero_column):
+    rng = np.random.default_rng(seed)
+    # magnitudes from e-30 to e+30 of either sign, a tenth of them signed zeros
+    matrix = rng.choice([-1.0, 1.0], (n, width)) * np.exp(rng.uniform(-30.0, 30.0, (n, width)))
+    matrix[rng.random((n, width)) < 0.1] *= 0.0
+    if zero_column:
+        matrix[:, 0] = -0.0  # the loop's sum is +0.0
+    rows = mean_layouts[layout](matrix, rng)
+    assert np.array_equal(bits(sequential_mean(rows)), bits(worker_order_mean(rows)))
+
+
+def test_sequential_mean_rejects_no_rows():
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError):
+            sequential_mean(empty)
+
+
 # wire-format cells: both signed zeros, subnormals and the largest magnitudes
 wire_cells = st.one_of(
     values, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308])
@@ -275,6 +335,103 @@ def test_logreg_evaluate_is_loss_and_gradient(n_classes, n_features, extra, seed
     assert_evaluate_is_loss_and_gradient(problem, x, logreg_full_gradient(features, labels, x))
 
 
+def reference_evaluate(features, labels, x):
+    """The full-batch loss and gradient by the plain formulas: the row max
+    along axis 1, the 2-d label index and np.mean."""
+    n_samples, n_features = features.shape
+    rows = np.arange(n_samples)
+    logits = np.matmul(features, x.reshape(-1, n_features).T)
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits)
+    sums = exps.sum(axis=1)
+    loss = float(np.mean(np.log(sums) - logits[rows, labels]))
+    probs = exps / sums[:, None]
+    probs[rows, labels] -= 1.0
+    return loss, (np.matmul(probs.T, features) / n_samples).reshape(-1)
+
+
+def reference_gradients(features, labels, x, batches):
+    """The workers' minibatch gradients by the same plain formulas, as one
+    block of logreg_gradients."""
+    (n, b), n_features = batches.shape, features.shape[1]
+    w_t = x.reshape(-1, n_features).T
+    idx = batches.ravel()
+    xb = features[idx].reshape(n, b, n_features)
+    logits = np.matmul(xb, w_t).reshape(n * b, -1)
+    logits -= logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits)
+    probs = exps / exps.sum(axis=1)[:, None]
+    probs[np.arange(n * b), labels[idx]] -= 1.0
+    return np.matmul(probs.reshape(n, b, -1).transpose(0, 2, 1), xb).reshape(n, -1) / b
+
+
+def first_term_matmul(a, b, out=None):
+    """a @ b with each sum started from its first product, not from +0.0
+    as BLAS starts it: a sum of -0.0 products stays -0.0, so logits can
+    tie at a zero row max with both signs."""
+    terms = np.asarray(a)[..., :, :, None] * np.asarray(b)[..., None, :, :]
+    total = terms[..., 0, :].copy()
+    for k in range(1, terms.shape[-2]):
+        total += terms[..., k, :]
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
+def assert_same_bits_or_nan(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits(np.where(nan, 0.0, got)), bits(np.where(nan, 0.0, want)))
+
+
+def assert_logreg_matches_reference(features, labels, x, problem, batches):
+    loss, grad = problem.evaluate(x)
+    want_loss, want_grad = reference_evaluate(features, labels, x)
+    assert_same_bits_or_nan(loss, want_loss)
+    assert_same_bits_or_nan(grad, want_grad)
+    out = np.empty((batches.shape[0], x.shape[0]))
+    logreg_gradients(features, labels, x, batches, out)
+    assert_same_bits_or_nan(out, reference_gradients(features, labels, x, batches))
+
+
+# weights that make zero, tied and huge logits
+weights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 745.0, -745.0]), st.floats(-1e3, 1e3))
+# weights whose logits, in a row of positive features, tie at a zero max
+zero_ties = st.sampled_from([0.0, -0.0, -1.0])
+
+
+@SETTINGS
+@given(
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.integers(0, 20),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.lists(weights, min_size=1, max_size=40), st.lists(zero_ties, min_size=3, max_size=40)),
+    st.one_of(st.just([]), st.lists(st.tuples(st.integers(0, 119),
+                                              st.sampled_from([np.inf, -np.inf, np.nan])),
+                                    min_size=1, max_size=2)),
+    st.booleans(),
+    st.tuples(st.integers(1, 12), st.integers(1, 9)),
+)
+# zero logits of both signs where the two ways of taking a row max return
+# zeros of other signs (numpy 2.4 on x86-64)
+@example(10, 1, 30, 0, [-0.0, -0.0, -1.0, -0.0, -1.0, -0.0, -0.0, 0.0, 0.0, -1.0], [], True, (10, 8))
+def test_logreg_matches_the_reference_formulas(
+    n_classes, n_features, extra, seed, cycle, non_finite, signed_zeros, shape
+):
+    dim = n_classes * n_features
+    problem, (features, labels) = make_logreg(n_classes + extra, dim, n_classes, seed)
+    x = np.resize(np.array(cycle), dim)
+    for i, value in non_finite:
+        x[i % dim] = value
+    batches = np.random.default_rng(seed).integers(0, labels.shape[0], size=shape)
+    product = first_term_matmul if signed_zeros else np.matmul
+    with mock.patch.object(np, "matmul", product), np.errstate(over="ignore", invalid="ignore"):
+        assert_logreg_matches_reference(features, labels, x, problem, batches)
+
+
 def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
     # scale x so that the median sample's shifted losing logit is -726:
     # exp(-726) ~ 1e-315 is below the smallest normal float64 (~exp(-708))
@@ -286,6 +443,8 @@ def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.any((probs > 0) & (probs < np.finfo(float).tiny))
     assert_evaluate_is_loss_and_gradient(problem, x, logreg_full_gradient(features, labels, x))
+    batches = np.random.default_rng(7).integers(0, 200, size=(10, 8))
+    assert_logreg_matches_reference(features, labels, x, problem, batches)
 
 
 # iterations and worker indices on both sides of 2**32, where SeedSequence
