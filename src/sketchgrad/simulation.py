@@ -62,6 +62,22 @@ SPLIT_BYTES = 4 << 20
 # an order that depends on where the edge falls.
 BLAS_TILE = 8
 
+# OpenBLAS multiplies a subnormal operand many times slower: once dense
+# AMSGrad separates the classes of a 60k logreg run, 3000-4000 of its
+# 20000 full-batch probabilities P are subnormal, and P.T @ X takes
+# 100-150 ms in place of about 10 (2 vCPUs, one BLAS thread; the times
+# below too). Such a product runs as
+# (P * LIFT).T @ (X / LIFT). Both scalings are exact, so every product
+# p * x is the same real number, and every multiply-add, partial sum and
+# result keeps its bits in any summation order. |p| <= 1 cannot overflow,
+# and x / LIFT is exact when x is 0 or |x| >= LIFT_FLOOR (_lowers_exactly).
+# Lowering X costs a pass over it, about as long as 300 subnormal entries
+# of P among 2000 rows cost, so a product lifts only when it splits
+# (_splits) and at least one entry of P per LIFT_ROWS rows is subnormal.
+LIFT = 2.0**64
+LIFT_FLOOR = np.finfo(float).tiny * LIFT  # 2**-958
+LIFT_ROWS = 8
+
 
 @dataclass
 class Problem:
@@ -69,7 +85,9 @@ class Problem:
 
     ``evaluate(x, pool=None)`` returns the full objective's loss and
     gradient from one shared pass: for logistic regression it computes the
-    logits over the whole dataset once, not twice.
+    logits over the whole dataset once, not twice. A logistic regression's
+    lifted gradient product (see LIFT) reuses the problem's block buffers,
+    so its evaluate calls must not overlap in time, as run's never do.
 
     ``gradient(x, t, out, pool)`` fills the ``(n_workers, dim)`` array out
     with the workers' gradients at x for iteration t, row i worker i's:
@@ -181,16 +199,54 @@ def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
     comes whole from one ``np.matmul`` call over the same reduction and,
     with OpenBLAS at one thread, from the same kernel, so it has the same
     bits as without a pool."""
-    mid = n // 2 // step * step
-    if pool is None or n % step or mid * unit_bytes < SPLIT_BYTES:
+    if pool is None or not _splits(unit_bytes, n, step):
         part(0, n)
         return
+    mid = n // 2 // step * step
     half = pool.submit(contextvars.copy_context().run, part, mid, n)
     try:
         part(0, mid)
     finally:
         concurrent.futures.wait([half])
     half.result()
+
+
+def _splits(unit_bytes: int, n: int, step: int = 1) -> bool:
+    """Whether _split, given a pool, splits a product of n units of unit_bytes."""
+    return n % step == 0 and n // 2 // step * step * unit_bytes >= SPLIT_BYTES
+
+
+def _lifts(probs: np.ndarray) -> bool:
+    """Whether at least one entry of the (rows, n_classes) probs per
+    LIFT_ROWS rows is subnormal, so that a lifted product pays off."""
+    subnormal = (probs != 0) & (np.abs(probs) < np.finfo(float).tiny)
+    return np.count_nonzero(subnormal) * LIFT_ROWS >= probs.shape[0]
+
+
+def _lowers_exactly(a: np.ndarray) -> bool:
+    """Whether a / LIFT is exact: no nonzero entry is below LIFT_FLOOR in magnitude."""
+    magnitudes = np.abs(a)
+    return magnitudes.min(initial=np.inf) >= LIFT_FLOOR or not a[magnitudes < LIFT_FLOOR].any()
+
+
+def _lowered_columns(
+    lifted: np.ndarray, features: np.ndarray, out: np.ndarray, buffers: np.ndarray, width: int
+) -> Callable[[int, int], None]:
+    """part(lo, hi) for _split that fills out[:, lo:hi] with lifted.T @
+    (features[:, lo:hi] / LIFT). It lowers the features into one row of
+    buffers per half, a block of width columns at a time; the last block of
+    a half also takes the short rest, so no block is narrower than width."""
+    n_samples, n_features = features.shape
+
+    def part(lo: int, hi: int) -> None:
+        buffer = buffers[int(hi < n_features)]  # the two halves run at once
+        edges = [lo, *range(lo + width, hi - width + 1, width), hi]
+        for start, stop in zip(edges, edges[1:]):
+            block = buffer[: n_samples * (stop - start)].reshape(n_samples, -1)
+            np.multiply(features[:, start:stop], 1 / LIFT, out=block)
+            np.matmul(lifted.T, block, out=out[:, start:stop])
+
+    return part
 
 
 def _shift_by_row_max(logits: np.ndarray) -> None:
@@ -215,7 +271,8 @@ def logreg_gradients(
     holds at least one worker. Each block is one gather, one batched logits
     product, one softmax and one batched ``np.matmul``, which give each row
     the same bits as that worker's own ``probs.T @ features[batch] / b``,
-    with a pool too (see _split)."""
+    with a pool too (see _split), and lifted too (see LIFT): a block lifts
+    when its gathered rows lower exactly."""
     n, b = batches.shape
     n_features = features.shape[1]
     w_t = x.reshape(-1, n_features).T
@@ -223,6 +280,7 @@ def logreg_gradients(
     per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
     # each gathered row's offset in the flat (m * b * n_classes) probabilities
     row_offsets = np.arange(min(n, per_block) * b) * n_classes
+    lifting = _splits(b * n_features * 8, n)
 
     def workers(first: int, stop: int) -> None:
         for lo in range(first, stop, per_block):
@@ -238,6 +296,9 @@ def logreg_gradients(
             label_entries = labels[idx]
             label_entries += row_offsets[: m * b]
             probs.reshape(-1)[label_entries] -= 1.0
+            if lifting and _lifts(probs) and _lowers_exactly(xb):
+                probs *= LIFT
+                xb *= 1 / LIFT  # a gathered copy
             np.matmul(
                 probs.reshape(m, b, n_classes).transpose(0, 2, 1),
                 xb,
@@ -264,6 +325,9 @@ def make_logreg(
     features: the noise is drawn straight into the feature matrix and
     each row's class centre is added in place, in row blocks of at most
     GATHER_BUDGET bytes, with the same bits as centers[labels] + noise.
+    The build also checks, block by block, whether the features lower
+    exactly, which evaluate's lifted gradient product needs (see LIFT):
+    evaluate reads the features as they were built.
     """
     _check_logreg(n_samples, dim, n_classes, class_spread)
     n_features = dim // n_classes
@@ -273,11 +337,23 @@ def make_logreg(
     rng.shuffle(labels)
     features = rng.standard_normal((n_samples, n_features))
     per_block = max(1, GATHER_BUDGET // (n_features * 8))
+    lowers = True
     for lo in range(0, n_samples, per_block):
-        features[lo : lo + per_block] += centers[labels[lo : lo + per_block]]
+        block = features[lo : lo + per_block]
+        block += centers[labels[lo : lo + per_block]]
+        lowers = lowers and _lowers_exactly(block)
 
     # each sample's label entry in the flat (n_samples * n_classes) logits
     label_entries = np.arange(n_samples) * n_classes + labels
+    # the gradient product can lift (see LIFT) when the features lower
+    # exactly and it splits. It lowers them into a block buffer per half, in
+    # blocks of whole tiles that read at least SPLIT_BYTES: a narrower block
+    # can take OpenBLAS's small-matrix kernel, which sums in another order.
+    # np.empty: the buffers' pages are mapped as a lift first writes them.
+    width = BLAS_TILE * max(1, -(-SPLIT_BYTES // (BLAS_TILE * n_samples * 8)))
+    buffers = None
+    if lowers and _splits(n_samples * 8, n_features, BLAS_TILE):
+        buffers = np.empty((2, n_samples * 2 * width))
 
     def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
         w_t = x.reshape(n_classes, n_features).T
@@ -292,8 +368,12 @@ def make_logreg(
         probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
         probs.reshape(-1)[label_entries] -= 1.0
         grad = np.empty((n_classes, n_features))
-        _split(pool, n_samples * 8, n_features,
-               lambda lo, hi: np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi]), BLAS_TILE)
+        if buffers is not None and _lifts(probs):
+            product = _lowered_columns(probs * LIFT, features, grad, buffers, width)
+        else:
+            def product(lo: int, hi: int) -> None:
+                np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi])
+        _split(pool, n_samples * 8, n_features, product, BLAS_TILE)
         grad /= n_samples
         return loss, grad.reshape(dim)
 

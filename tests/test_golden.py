@@ -8,7 +8,11 @@ on the BLAS thread count. The quadratic uses an odd number of sketch rows
 and the logistic regression an even number, so both median branches of the
 point query are pinned. The 60k shapes reach what the small ones never do:
 all three split logistic regression products and the noise the helper
-thread draws ahead. Their hashes hold at one BLAS thread, so they are
+thread draws ahead. One more 60k entry runs logistic regression's dense
+AMSGrad for 8 iterations, not 3: at iterations 7 and 8 thousands of its
+full-batch probabilities are subnormal, so both of its products take the
+lifted route (simulation.LIFT), the full-batch one in blocks of lowered
+feature columns. Their hashes hold at one BLAS thread, so they are
 computed in a subprocess with OPENBLAS_NUM_THREADS=1.
 """
 
@@ -21,6 +25,7 @@ import sys
 
 import pytest
 
+from sketchgrad import simulation
 from sketchgrad.simulation import ProblemSpec, RunConfig, run, write_trace
 
 BASE = {
@@ -79,6 +84,24 @@ def test_trace_matches_golden_hash(tmp_path, problem, variant):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(problem, variant)]
 
 
+def test_subnormal_trace_keeps_its_hash_on_the_lifted_route(monkeypatch, tmp_path):
+    # with the size gate at 0, the worker gradients of dense AMSGrad at
+    # alpha 5 lift the blocks where enough probabilities are subnormal and
+    # run the others plain; make_logreg's features all lower exactly, so
+    # each True verdict is a lifted block
+    verdicts = []
+    lifts = simulation._lifts
+
+    def recording(probs):
+        verdicts.append(lifts(probs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(simulation, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(simulation, "_lifts", recording)
+    test_trace_matches_golden_hash(tmp_path, "logreg_subnormal", "dense_amsgrad")
+    assert any(verdicts) and not all(verdicts)
+
+
 # the `small` preset, 8 workers, a few iterations
 PAPER_SCALE_CODE = """
 import dataclasses, hashlib, json, os, sys, tempfile
@@ -91,14 +114,19 @@ configs = {
     "logreg": RunConfig(problem=ProblemSpec(kind="logreg", dim=60000, n_samples=2000,
                                             n_classes=10), horizon=3, **base),
 }
+runs = {f"{problem} {variant}": dataclasses.replace(config, variant=variant)
+        for problem, config in configs.items() for variant in sys.argv[1:]}
+# by iteration 7 dense AMSGrad drives thousands of the full-batch
+# probabilities below the smallest normal float64
+runs["logreg dense_amsgrad horizon 8"] = dataclasses.replace(
+    configs["logreg"], variant="dense_amsgrad", horizon=8)
 hashes = {}
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "trace.csv")
-    for problem, config in configs.items():
-        for variant in sys.argv[1:]:
-            write_trace(run(dataclasses.replace(config, variant=variant))[1], path)
-            with open(path, "rb") as fh:
-                hashes[problem + " " + variant] = hashlib.sha256(fh.read()).hexdigest()
+    for name, config in runs.items():
+        write_trace(run(config)[1], path)
+        with open(path, "rb") as fh:
+            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
 print(json.dumps(hashes))
 """
 
@@ -109,6 +137,7 @@ PAPER_SCALE_GOLDEN = {
     "quadratic pa": "066588f45f9bd204f816321ea409ab2a1ca8775d26e77bd5a6901dd231d6965a",
     "quadratic sketched_sgd": "e169ebe668ec125c770b7c88da3aa10653cc35aebadf914002a65af74f6df5c4",
     "logreg dense_amsgrad": "6aa6667415ecfb46581746311dff6a8708ccf7de79dd35ae153bc31f380c90ea",
+    "logreg dense_amsgrad horizon 8": "723ecdf8596aab9a760a93430ac26cadff001f00facfdd086ccec093aa6c7c50",
     "logreg dense_sgd": "71bf2bb66be8c855cb66dae2d57f4e619c63bd5006ce661a454b7e36e54da4e7",
     "logreg ga": "99d1e36526d10b0639287b7e4318a4bd303495718081ec425811e416b4f96759",
     "logreg pa": "ab6c1aaa63e63c8b4690a629198ce897a2ec7d2e27305386d309a3cbfc055f0f",

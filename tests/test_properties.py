@@ -11,6 +11,8 @@ regression formulas with a row-wise max, a 2-d label index and np.mean,
 and numpy's own SeedSequence, PCG64 and default_rng.
 """
 
+import concurrent.futures
+import contextlib
 import itertools
 from unittest import mock
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sketchgrad import simulation
 from sketchgrad.compressors import ProtocolConfig, _merged_sketch, sequential_mean
 from sketchgrad.simulation import (
     ProblemSpec,
@@ -445,6 +448,142 @@ def test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities():
     assert_evaluate_is_loss_and_gradient(problem, x, logreg_full_gradient(features, labels, x))
     batches = np.random.default_rng(7).integers(0, 200, size=(10, 8))
     assert_logreg_matches_reference(features, labels, x, problem, batches)
+
+
+@pytest.fixture
+def lift_spy(monkeypatch):
+    """What the lifted routes did: each _lifts verdict, each _lowers_exactly
+    verdict (a problem's build included), and how many full-batch products
+    ran on lowered feature columns."""
+    seen = {"lifts": [], "lowers": [], "columns": 0}
+    lifts, lowers, columns = simulation._lifts, simulation._lowers_exactly, simulation._lowered_columns
+
+    def recording_lifts(probs):
+        seen["lifts"].append(lifts(probs))
+        return seen["lifts"][-1]
+
+    def recording_lowers(a):
+        seen["lowers"].append(lowers(a))
+        return seen["lowers"][-1]
+
+    def recording_columns(*args):
+        seen["columns"] += 1
+        return columns(*args)
+
+    monkeypatch.setattr(simulation, "_lifts", recording_lifts)
+    monkeypatch.setattr(simulation, "_lowers_exactly", recording_lowers)
+    monkeypatch.setattr(simulation, "_lowered_columns", recording_columns)
+    return seen
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_logreg_reference_tests_pass_on_the_lifted_route(monkeypatch, lift_spy, forced):
+    # with the size gate at 0, logreg_gradients lifts every block that has
+    # one subnormal probability, or, forced, every block: the two reference
+    # tests above, unedited, then run the lifted route, on +-inf/NaN weights
+    # and signed-zero ties too when forced
+    monkeypatch.setattr(simulation, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(simulation, "LIFT_ROWS", 10**9)
+    if forced:
+        def always(probs):
+            lift_spy["lifts"].append(True)
+            return True
+
+        monkeypatch.setattr(simulation, "_lifts", always)
+    test_logreg_matches_the_reference_formulas()
+    lifted = sum(lift_spy["lifts"])
+    assert lifted == len(lift_spy["lifts"]) if forced else 0 < lifted < len(lift_spy["lifts"])
+    lift_spy["lifts"].clear()
+    test_logreg_evaluate_is_loss_and_gradient_with_subnormal_probabilities()
+    assert any(lift_spy["lifts"])
+    # the features these tests build are not whole tiles: evaluate never lifts
+    assert lift_spy["columns"] == 0
+
+
+class PlantedRng:
+    """np.random.default_rng's generator, but with feature column 0 zero
+    except sample 5's, which is 1e-300: its draws of the class centres and
+    of the noise have column 0 zero, bar that one entry of the noise."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def shuffle(self, a):
+        self.rng.shuffle(a)
+
+    def standard_normal(self, size):
+        drawn = self.rng.standard_normal(size)
+        drawn[:, 0] = 0.0
+        if drawn.shape[0] > 5:
+            drawn[5, 0] = 1e-300
+        return drawn
+
+
+def separated_logreg(monkeypatch, planted):
+    """A two-class logistic regression whose products split (1024 samples
+    of 1024 features), an x that puts the median losing logit at -726 (a
+    subnormal probability of about 1e-315) and four 256-sample batches,
+    the first holding sample 5. planted: built from PlantedRng's draws,
+    with x's weight on feature 0 cancelling sample 5's margin."""
+    with monkeypatch.context() as m:
+        if planted:
+            m.setattr(np.random, "default_rng", PlantedRng)
+        problem, (features, labels) = make_logreg(1024, 2048, 2, seed=8)
+    direction = features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)
+    margins = np.abs(features @ direction)
+    x = np.concatenate([np.zeros(1024), (726.0 / np.median(margins)) * direction])
+    if planted:
+        # cancel sample 5's margin through its planted feature: its
+        # probabilities are then about 1/2, and their products with 1e-300
+        # normal
+        weights = x.reshape(2, -1)
+        weights[1, 0] -= (features[5] @ weights[1]) / features[5, 0]
+    batches = np.random.default_rng(9).integers(0, 1024, size=(4, 256))
+    batches[0, 0] = 5
+    return problem, features, labels, x, batches
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_logreg_lifted_products_at_split_size_match_the_reference(monkeypatch, lift_spy, pool):
+    # at a size where both products split, both lift by their own count,
+    # in blocks of whole tiles of at least SPLIT_BYTES, with the bits of
+    # the plain formulas, on one thread and on two
+    problem, features, labels, x, batches = separated_logreg(monkeypatch, planted=False)
+    lift_spy["lowers"].clear()
+    probs = np.exp(-np.abs(np.matmul(features, x.reshape(2, -1).T @ [-1.0, 1.0])))
+    assert np.count_nonzero((probs > 0) & (probs < np.finfo(float).tiny)) > 512
+    with concurrent.futures.ThreadPoolExecutor(1) if pool else contextlib.nullcontext() as helper:
+        loss, grad = problem.evaluate(x, pool=helper)
+        out = np.empty((4, 2048))
+        logreg_gradients(features, labels, x, batches, out, pool=helper)
+    want_loss, want_grad = reference_evaluate(features, labels, x)
+    assert_same_bits_or_nan(loss, want_loss)
+    assert_same_bits_or_nan(grad, want_grad)
+    assert_same_bits_or_nan(out, reference_gradients(features, labels, x, batches))
+    assert lift_spy["columns"] == 1
+    assert lift_spy["lifts"] == [True] * 5 and lift_spy["lowers"] == [True] * 4
+
+
+def test_a_feature_that_lowers_inexactly_keeps_the_plain_route(monkeypatch, lift_spy):
+    # 1e-300 / LIFT is subnormal and inexact: the problem built with that
+    # feature never lowers its columns, and the one block of
+    # logreg_gradients that gathers it stays plain. Column 0's gradient is
+    # that feature's products alone, so lowered, it would lose bits.
+    problem, features, labels, x, batches = separated_logreg(monkeypatch, planted=True)
+    assert features[5, 0] == 1e-300 and np.count_nonzero(features[:, 0]) == 1
+    assert lift_spy["lowers"] == [False]  # the build stops at sample 5's block
+    lift_spy["lowers"].clear()
+    loss, grad = problem.evaluate(x)
+    out = np.empty((4, 2048))
+    logreg_gradients(features, labels, x, batches, out)
+    want_loss, want_grad = reference_evaluate(features, labels, x)
+    assert_same_bits_or_nan(loss, want_loss)
+    assert_same_bits_or_nan(grad, want_grad)
+    assert_same_bits_or_nan(out, reference_gradients(features, labels, x, batches))
+    assert np.all(np.abs(grad.reshape(2, -1)[:, 0]) > 1e-305)
+    # evaluate does not even count its subnormal probabilities
+    assert lift_spy["columns"] == 0
+    assert lift_spy["lifts"] == [True] * 4 and lift_spy["lowers"] == [False, True, True, True]
 
 
 # iterations and worker indices on both sides of 2**32, where SeedSequence
