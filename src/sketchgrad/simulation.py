@@ -50,12 +50,18 @@ class InvariantViolation(RuntimeError):
 # same size, so the build holds no second copy of the dataset.
 GATHER_BUDGET = 1 << 20
 
+# OpenBLAS computes a product of at most this many multiply-adds with its
+# small-matrix kernel and a larger one with its gemm kernel, which sums in
+# another order. Between two gemm products, a row of X @ W.T has the same
+# bits whatever X's row count, and so does the column of W @ X.T.
+GEMM_MIN_MACS = 100**3
+
 # Bytes of features that the first half of a logistic regression product
 # must read for run's helper thread to compute the second half. A half of
-# 4 MiB makes over 100**3 multiply-adds (n_classes >= 2), so with OpenBLAS
-# both halves take the whole product's gemm kernel and not its small-matrix
-# kernel, which sums in another order. On 2 vCPUs with one BLAS thread a
-# split starts to gain at about 1 MiB a half, so the bits set the bound.
+# 4 MiB makes over GEMM_MIN_MACS multiply-adds (n_classes >= 2), so both
+# halves take the whole product's gemm kernel. On 2 vCPUs with one BLAS
+# thread a split starts to gain at about 1 MiB a half, so the bits set the
+# bound.
 SPLIT_BYTES = 4 << 20
 # The full-batch products split only into whole tiles of this many rows or
 # columns: OpenBLAS's gemm computes the ragged edge of its 8-wide tiles in
@@ -87,7 +93,8 @@ class Problem:
     gradient from one shared pass: for logistic regression it computes the
     logits over the whole dataset once, not twice. A logistic regression's
     lifted gradient product (see LIFT) reuses the problem's block buffers,
-    so its evaluate calls must not overlap in time, as run's never do.
+    and its gradient the last evaluate's probabilities (below), so its
+    evaluate and gradient calls must not overlap in time, as run's never do.
 
     ``gradient(x, t, out, pool)`` fills the ``(n_workers, dim)`` array out
     with the workers' gradients at x for iteration t, row i worker i's:
@@ -96,9 +103,17 @@ class Problem:
     build_problem serves iterations 1, ..., horizon of one run of its
     config, in order, each once: it holds that run's worker streams.
 
+    A logistic regression's gradient reuses the residual probabilities
+    (softmax minus one-hot) of the last evaluate call when x has that
+    call's bits and every logits product, each worker's batch_size rows
+    and evaluate's whole dataset or halves, makes over GEMM_MIN_MACS
+    multiply-adds. Each product then takes OpenBLAS's gemm kernel, so a
+    sample's row of logits has the same bits in both, and the softmax is
+    row-local, so the gradients keep their bits.
+
     ``pool`` is a one-thread executor. When half of a logistic regression
     product reads at least SPLIT_BYTES of features, the pool's thread
-    computes that half (see _split): the full-batch logits by sample rows,
+    computes that half (see _split): the full-batch logits by samples,
     the full-batch gradient by feature columns and the workers' gradients
     by workers. A noisy quadratic's gradient for iteration t starts the
     pool's thread on iteration t+1's noise rows (see _share_noise). Either
@@ -261,6 +276,7 @@ def _shift_by_row_max(logits: np.ndarray) -> None:
 def logreg_gradients(
     features: np.ndarray, labels: np.ndarray, x: np.ndarray, batches: np.ndarray,
     out: np.ndarray, pool: concurrent.futures.Executor | None = None,
+    residuals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Every worker's minibatch gradient of the logistic regression on
     (features, labels) at x, from one call. ``batches`` is an ``(n, b)``
@@ -272,7 +288,10 @@ def logreg_gradients(
     product, one softmax and one batched ``np.matmul``, which give each row
     the same bits as that worker's own ``probs.T @ features[batch] / b``,
     with a pool too (see _split), and lifted too (see LIFT): a block lifts
-    when its gathered rows lower exactly."""
+    when its gathered rows lower exactly. ``residuals``, if given, is the
+    ``(n_samples, n_classes)`` softmax minus one-hot of every sample at x,
+    with the bits a block would compute: the blocks gather their rows from
+    it in place of their logits and softmax."""
     n, b = batches.shape
     n_features = features.shape[1]
     w_t = x.reshape(-1, n_features).T
@@ -287,15 +306,18 @@ def logreg_gradients(
             idx = batches[lo : min(lo + per_block, stop)].ravel()
             m = idx.shape[0] // b
             xb = features[idx].reshape(m, b, n_features)
-            # one product per worker: one (m*b, F) product crosses OpenBLAS's
-            # small-matrix cutoff at some shapes and sums in another order
-            logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
-            _shift_by_row_max(logits)
-            exps = np.exp(logits, out=logits)
-            probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
-            label_entries = labels[idx]
-            label_entries += row_offsets[: m * b]
-            probs.reshape(-1)[label_entries] -= 1.0
+            if residuals is not None:
+                probs = residuals[idx]
+            else:
+                # one product per worker: one (m*b, F) product crosses
+                # GEMM_MIN_MACS at some shapes and sums in another order
+                logits = np.matmul(xb, w_t).reshape(m * b, n_classes)
+                _shift_by_row_max(logits)
+                exps = np.exp(logits, out=logits)
+                probs = np.divide(exps, exps.sum(axis=1)[:, None], out=exps)
+                label_entries = labels[idx]
+                label_entries += row_offsets[: m * b]
+                probs.reshape(-1)[label_entries] -= 1.0
             if lifting and _lifts(probs) and _lowers_exactly(xb):
                 probs *= LIFT
                 xb *= 1 / LIFT  # a gathered copy
@@ -325,8 +347,8 @@ def make_logreg(
     features: the noise is drawn straight into the feature matrix and
     each row's class centre is added in place, in row blocks of at most
     GATHER_BUDGET bytes, with the same bits as centers[labels] + noise.
-    The build also checks, block by block, whether the features lower
-    exactly, which evaluate's lifted gradient product needs (see LIFT):
+    Whether the features lower exactly, which evaluate's lifted gradient
+    product needs (see LIFT), is checked at its first lift and kept:
     evaluate reads the features as they were built.
     """
     _check_logreg(n_samples, dim, n_classes, class_spread)
@@ -337,38 +359,62 @@ def make_logreg(
     rng.shuffle(labels)
     features = rng.standard_normal((n_samples, n_features))
     per_block = max(1, GATHER_BUDGET // (n_features * 8))
-    lowers = True
     for lo in range(0, n_samples, per_block):
         block = features[lo : lo + per_block]
         block += centers[labels[lo : lo + per_block]]
-        lowers = lowers and _lowers_exactly(block)
 
     # each sample's label entry in the flat (n_samples * n_classes) logits
     label_entries = np.arange(n_samples) * n_classes + labels
-    # the gradient product can lift (see LIFT) when the features lower
-    # exactly and it splits. It lowers them into a block buffer per half, in
+    # above the logits' split gate every half is over GEMM_MIN_MACS, and
+    # there W @ X.T, the faster orientation, has the bits of X @ W.T
+    transposed = _splits(n_features * 8, n_samples, BLAS_TILE)
+    # the gradient product can lift (see LIFT) when it splits and the
+    # features lower exactly. It lowers them into a block buffer per half, in
     # blocks of whole tiles that read at least SPLIT_BYTES: a narrower block
     # can take OpenBLAS's small-matrix kernel, which sums in another order.
-    # np.empty: the buffers' pages are mapped as a lift first writes them.
+    lifting = _splits(n_samples * 8, n_features, BLAS_TILE)
     width = BLAS_TILE * max(1, -(-SPLIT_BYTES // (BLAS_TILE * n_samples * 8)))
-    buffers = None
-    if lowers and _splits(n_samples * 8, n_features, BLAS_TILE):
-        buffers = np.empty((2, n_samples * 2 * width))
+    buffers = None  # made at the first lift; False if the features do not lower exactly
+    # the workers reuse evaluate's residual probabilities (see Problem)
+    reuse = config is not None and (
+        min(config.batch_size, n_samples) * n_features * n_classes > GEMM_MIN_MACS)
+    # evaluate's x, as integers so that a zero's sign and a NaN's payload
+    # count, and its residual probabilities, when reuse
+    last = None
 
     def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
-        w_t = x.reshape(n_classes, n_features).T
-        logits = np.empty((n_samples, n_classes))
-        _split(pool, n_features * 8, n_samples,
-               lambda lo, hi: np.matmul(features[lo:hi], w_t, out=logits[lo:hi]), BLAS_TILE)
-        _shift_by_row_max(logits)
+        nonlocal buffers, last
+        w = x.reshape(n_classes, n_features)
+        if transposed:
+            logits_t = np.empty((n_classes, n_samples))
+            _split(pool, n_features * 8, n_samples,
+                   lambda lo, hi: np.matmul(w, features[lo:hi].T, out=logits_t[:, lo:hi]),
+                   BLAS_TILE)
+            # _shift_by_row_max's max, without its transposed copy
+            logits_t -= logits_t.max(axis=0)
+            # the row sum's pairwise order needs the rows contiguous
+            logits = np.ascontiguousarray(logits_t.T)
+        else:
+            logits = np.empty((n_samples, n_classes))
+            _split(pool, n_features * 8, n_samples,
+                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]), BLAS_TILE)
+            _shift_by_row_max(logits)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
         # the sum and the division np.mean makes, without its wrapper
         loss = float(np.add.reduce(np.log(sums) - logits.reshape(-1)[label_entries]) / n_samples)
         probs = np.divide(exps, sums[:, None], out=exps)  # nothing reads exps again
         probs.reshape(-1)[label_entries] -= 1.0
+        if reuse:
+            last = np.array(x, dtype=np.float64).view(np.uint64), probs
         grad = np.empty((n_classes, n_features))
-        if buffers is not None and _lifts(probs):
+        lifts = lifting and buffers is not False and _lifts(probs)
+        if lifts and buffers is None:
+            lowers = all(_lowers_exactly(features[lo : lo + per_block])
+                         for lo in range(0, n_samples, per_block))
+            # np.empty: the buffers' pages are mapped as a lift first writes them
+            buffers = np.empty((2, n_samples * 2 * width)) if lowers else False
+        if lifts and buffers is not False:
             product = _lowered_columns(probs * LIFT, features, grad, buffers, width)
         else:
             def product(lo: int, hi: int) -> None:
@@ -385,7 +431,9 @@ def make_logreg(
     batches = _minibatches(shards, config.seed, config.horizon, config.batch_size)
 
     def gradient(x: np.ndarray, t: int, out: np.ndarray, pool) -> None:
-        logreg_gradients(features, labels, x, next(batches), out, pool)
+        reused = last is not None and np.array_equal(
+            last[0], np.asarray(x, dtype=np.float64).view(np.uint64))
+        logreg_gradients(features, labels, x, next(batches), out, pool, last[1] if reused else None)
 
     return Problem(dim, evaluate, gradient), (features, labels)
 

@@ -1,6 +1,6 @@
 """Property tests for the sparse sketch operator, its wire format, the
-top-m selection, the worker-order mean, the fused full-batch evaluation
-and the worker streams.
+top-m selection, the worker-order mean, the fused full-batch evaluation,
+the workers' reuse of its probabilities and the worker streams.
 
 Each property compares the fast path against a plain reference: the
 operator's cells filled row by row, a sorted() ranking, a loop of
@@ -8,7 +8,8 @@ accumulate(), a worker-order sum of per-worker sketches, a loop over
 the rows, np.median over the rows, the loss alone and the blocked
 minibatch gradient over the whole dataset as one batch, the logistic
 regression formulas with a row-wise max, a 2-d label index and np.mean,
-and numpy's own SeedSequence, PCG64 and default_rng.
+the workers' own probabilities, and numpy's own SeedSequence, PCG64 and
+default_rng.
 """
 
 import concurrent.futures
@@ -519,6 +520,14 @@ class PlantedRng:
         return drawn
 
 
+def separating_x(features, labels):
+    """Two-class weights that put the median losing logit at -726, a
+    subnormal probability of about 1e-315."""
+    direction = features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)
+    margins = np.abs(features @ direction)
+    return np.concatenate([np.zeros(features.shape[1]), (726.0 / np.median(margins)) * direction])
+
+
 def separated_logreg(monkeypatch, planted):
     """A two-class logistic regression whose products split (1024 samples
     of 1024 features), an x that puts the median losing logit at -726 (a
@@ -529,9 +538,7 @@ def separated_logreg(monkeypatch, planted):
         if planted:
             m.setattr(np.random, "default_rng", PlantedRng)
         problem, (features, labels) = make_logreg(1024, 2048, 2, seed=8)
-    direction = features[labels == 1].mean(axis=0) - features[labels == 0].mean(axis=0)
-    margins = np.abs(features @ direction)
-    x = np.concatenate([np.zeros(1024), (726.0 / np.median(margins)) * direction])
+    x = separating_x(features, labels)
     if planted:
         # cancel sample 5's margin through its planted feature: its
         # probabilities are then about 1/2, and their products with 1e-300
@@ -561,7 +568,9 @@ def test_logreg_lifted_products_at_split_size_match_the_reference(monkeypatch, l
     assert_same_bits_or_nan(grad, want_grad)
     assert_same_bits_or_nan(out, reference_gradients(features, labels, x, batches))
     assert lift_spy["columns"] == 1
-    assert lift_spy["lifts"] == [True] * 5 and lift_spy["lowers"] == [True] * 4
+    # evaluate's first lift checks the dataset, 8 blocks of 128 rows, and
+    # then each of the 4 worker blocks checks its gathered rows
+    assert lift_spy["lifts"] == [True] * 5 and lift_spy["lowers"] == [True] * (8 + 4)
 
 
 def test_a_feature_that_lowers_inexactly_keeps_the_plain_route(monkeypatch, lift_spy):
@@ -571,9 +580,10 @@ def test_a_feature_that_lowers_inexactly_keeps_the_plain_route(monkeypatch, lift
     # that feature's products alone, so lowered, it would lose bits.
     problem, features, labels, x, batches = separated_logreg(monkeypatch, planted=True)
     assert features[5, 0] == 1e-300 and np.count_nonzero(features[:, 0]) == 1
-    assert lift_spy["lowers"] == [False]  # the build stops at sample 5's block
-    lift_spy["lowers"].clear()
+    assert lift_spy["lowers"] == []  # the build checks nothing
     loss, grad = problem.evaluate(x)
+    # the first lift checks the dataset and stops at sample 5's block
+    assert lift_spy["lifts"] == [True] and lift_spy["lowers"] == [False]
     out = np.empty((4, 2048))
     logreg_gradients(features, labels, x, batches, out)
     want_loss, want_grad = reference_evaluate(features, labels, x)
@@ -581,9 +591,186 @@ def test_a_feature_that_lowers_inexactly_keeps_the_plain_route(monkeypatch, lift
     assert_same_bits_or_nan(grad, want_grad)
     assert_same_bits_or_nan(out, reference_gradients(features, labels, x, batches))
     assert np.all(np.abs(grad.reshape(2, -1)[:, 0]) > 1e-305)
-    # evaluate does not even count its subnormal probabilities
     assert lift_spy["columns"] == 0
-    assert lift_spy["lifts"] == [True] * 4 and lift_spy["lowers"] == [False, True, True, True]
+    assert lift_spy["lifts"] == [True] * 5
+    assert lift_spy["lowers"] == [False, False, True, True, True]
+    # the verdict is kept: evaluate no longer even counts its subnormal
+    # probabilities
+    again = problem.evaluate(x)
+    assert_same_bits_or_nan(again[0], loss)
+    assert_same_bits_or_nan(again[1], grad)
+    assert lift_spy["lifts"] == [True] * 5 and lift_spy["columns"] == 0
+
+
+class ColumnReads(np.ndarray):
+    """A feature matrix that records the column slice of each [:, cols] read."""
+
+    def __getitem__(self, key):
+        self.reads.append(key[1])
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_lowered_column_blocks_are_whole_tiles(monkeypatch, pool):
+    # a block edge through an 8-column tile can change bits with another
+    # OpenBLAS build, though not always with this one, so the edges are
+    # pinned by position: 512 samples make blocks of 1024 columns (4 MiB),
+    # and 4104 columns split into 2048 + 2056, each half's last block taking
+    # the short rest
+    problem, (features, labels) = make_logreg(512, 2 * 4104, 2, seed=4)
+    reads = []
+    lowered = simulation._lowered_columns
+
+    def recording(lifted, features, *args):
+        view = features.view(ColumnReads)
+        view.reads = reads
+        return lowered(lifted, view, *args)
+
+    monkeypatch.setattr(simulation, "_lowered_columns", recording)
+    monkeypatch.setattr(simulation, "_lifts", lambda probs: True)
+    x = np.random.default_rng(5).standard_normal(2 * 4104)
+    with concurrent.futures.ThreadPoolExecutor(1) if pool else contextlib.nullcontext() as helper:
+        loss, grad = problem.evaluate(x, pool=helper)
+    blocks = sorted((cols.start, cols.stop) for cols in reads)
+    want = [0, 1024, 2048, 3072, 4104]
+    assert blocks == list(zip(want, want[1:]))
+    assert all(edge % simulation.BLAS_TILE == 0 for block in blocks for edge in block)
+    assert all((stop - start) * 512 * 8 >= simulation.SPLIT_BYTES for start, stop in blocks)
+    want_loss, want_grad = reference_evaluate(features, labels, x)
+    assert_same_bits_or_nan(loss, want_loss)
+    assert_same_bits_or_nan(grad, want_grad)
+
+
+@pytest.fixture
+def gradient_spy(monkeypatch):
+    """The batches and the residuals argument of each logreg_gradients call
+    that a problem's gradient makes."""
+    calls = []
+    gradients = simulation.logreg_gradients
+
+    def recording(features, labels, x, batches, out, pool=None, residuals=None):
+        calls.append((batches.copy(), residuals))
+        return gradients(features, labels, x, batches, out, pool, residuals)
+
+    monkeypatch.setattr(simulation, "logreg_gradients", recording)
+    return calls
+
+
+def logreg_for_a_run(n_samples, n_classes, n_features, batch_size, n_workers=2, seed=8):
+    """make_logreg's problem and dataset, with the workers of a dense SGD run."""
+    spec = ProblemSpec(kind="logreg", dim=n_classes * n_features, n_samples=n_samples,
+                       n_classes=n_classes)
+    cfg = RunConfig(problem=spec, variant="dense_sgd", horizon=4, n_workers=n_workers,
+                    batch_size=batch_size, seed=seed)
+    return make_logreg(n_samples, spec.dim, n_classes, seed, config=cfg)
+
+
+def reference_residuals(features, labels, x):
+    """Every sample's softmax minus one-hot by the plain formulas, from the
+    logits X @ W.T."""
+    logits = np.matmul(features, x.reshape(-1, features.shape[1]).T)
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exps / exps.sum(axis=1)[:, None]
+    probs[np.arange(labels.shape[0]), labels] -= 1.0
+    return probs
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("separated", [False, True])
+def test_reused_residuals_give_the_computed_gradients(gradient_spy, lift_spy, pool, separated):
+    # a 512-row batch of 1024 features and 2 classes makes 1048576
+    # multiply-adds, over GEMM_MIN_MACS: after evaluate at the same x the
+    # workers gather its residual probabilities, in plain blocks, or in
+    # lifted ones when x separates the classes, with the computed bits
+    problem, (features, labels) = logreg_for_a_run(1024, 2, 1024, 512)
+    x = (separating_x(features, labels) if separated
+         else 0.05 * np.random.default_rng(3).standard_normal(2048))
+    out = np.empty((2, 2048))
+    with concurrent.futures.ThreadPoolExecutor(1) if pool else contextlib.nullcontext() as helper:
+        problem.gradient(x, 1, out, helper)  # no evaluate yet
+        problem.evaluate(x, pool=helper)
+        lift_spy["lifts"].clear()
+        problem.gradient(x, 2, out, helper)
+        computed = logreg_gradients(features, labels, x, gradient_spy[1][0], np.empty((2, 2048)),
+                                    helper)
+    assert gradient_spy[0][1] is None and gradient_spy[1][1] is not None
+    assert lift_spy["lifts"][:2] == [separated] * 2  # the reused blocks' verdicts
+    assert np.array_equal(bits(out), bits(computed))
+    assert np.array_equal(bits(out), bits(reference_gradients(features, labels, x,
+                                                              gradient_spy[1][0])))
+
+
+@pytest.mark.parametrize("change", [None, "sign of zero", "nan payload", "least subnormal"])
+def test_an_x_changed_in_place_recomputes_the_residuals(gradient_spy, change):
+    # the workers compare x with evaluate's copy bit for bit: a change that
+    # compares equal as a float, or one no float compares equal to, still
+    # makes them compute their own probabilities
+    problem, (features, labels) = logreg_for_a_run(1024, 2, 1024, 512)
+    x = 0.05 * np.random.default_rng(3).standard_normal(2048)
+    x[7] = np.nan if change == "nan payload" else 0.0
+    out = np.empty((2, 2048))
+    with np.errstate(invalid="ignore"):
+        problem.evaluate(x)
+        if change == "sign of zero":
+            x[7] = -0.0
+        elif change == "nan payload":
+            x[7:8].view(np.uint64)[0] ^= 1
+        elif change == "least subnormal":
+            x[7] = 5e-324
+        problem.gradient(x, 1, out, None)
+        computed = logreg_gradients(features, labels, x, gradient_spy[0][0], np.empty((2, 2048)))
+    assert (gradient_spy[0][1] is None) == (change is not None)
+    assert_same_bits_or_nan(out, computed)
+
+
+@pytest.mark.parametrize("n_samples, n_features, batch_size, reused", [
+    (1024, 1000, 500, False),  # 500 x 1000 x 2: GEMM_MIN_MACS exactly
+    (1024, 1000, 501, True),
+    # the full batch of 400 samples is under the cutoff, whatever the batches
+    (400, 1000, 600, False),
+])
+def test_workers_reuse_residuals_only_above_the_small_matrix_cutoff(
+    gradient_spy, n_samples, n_features, batch_size, reused
+):
+    problem, (features, labels) = logreg_for_a_run(n_samples, 2, n_features, batch_size)
+    x = 0.05 * np.random.default_rng(3).standard_normal(2 * n_features)
+    problem.evaluate(x)
+    out = np.empty((2, 2 * n_features))
+    problem.gradient(x, 1, out, None)
+    assert (gradient_spy[0][1] is not None) == reused
+    computed = logreg_gradients(features, labels, x, gradient_spy[0][0], np.empty_like(out))
+    assert np.array_equal(bits(out), bits(computed))
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("n_samples, n_classes, n_features, batch_size", [
+    # the smallest sample count whose logits split at 1024 features: a
+    # first half of 512 rows reads SPLIT_BYTES
+    (1024, 2, 1024, 512),
+    # halves of 256 and 264 rows of 2048 features
+    (520, 3, 2048, 256),
+    # 8 samples fewer than the first: no split, and the logits are X @ W.T
+    (1016, 2, 1024, 512),
+])
+def test_full_batch_logits_have_the_bits_of_x_times_w_t(
+    gradient_spy, pool, n_samples, n_classes, n_features, batch_size
+):
+    # above the split gate evaluate computes the logits as W @ X.T; the
+    # residual probabilities it hands the workers, its loss and its
+    # gradient have the bits of the plain formulas over X @ W.T
+    problem, (features, labels) = logreg_for_a_run(n_samples, n_classes, n_features, batch_size)
+    transposed = simulation._splits(n_features * 8, n_samples, simulation.BLAS_TILE)
+    assert transposed == (n_samples != 1016)
+    x = np.random.default_rng(6).standard_normal(n_classes * n_features)
+    out = np.empty((2, x.shape[0]))
+    with concurrent.futures.ThreadPoolExecutor(1) if pool else contextlib.nullcontext() as helper:
+        loss, grad = problem.evaluate(x, pool=helper)
+        problem.gradient(x, 1, out, helper)
+    residuals = gradient_spy[0][1]
+    assert np.array_equal(bits(residuals), bits(reference_residuals(features, labels, x)))
+    want_loss, want_grad = reference_evaluate(features, labels, x)
+    assert_same_bits_or_nan(loss, want_loss)
+    assert_same_bits_or_nan(grad, want_grad)
 
 
 # iterations and worker indices on both sides of 2**32, where SeedSequence
