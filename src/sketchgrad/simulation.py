@@ -10,7 +10,6 @@ minibatch draws, so a (config, seed) pair reproduces a run bit for bit.
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
 import csv
 import dataclasses
 import math
@@ -32,7 +31,7 @@ from .optimizers import (
     StepDiagnostics,
     step,
 )
-from .sketch import SketchConfig, check_elements
+from .sketch import SketchConfig, _split, _splits, check_elements
 
 SHADOW_GAP_TOL = 1e-9
 
@@ -60,8 +59,8 @@ GEMM_MIN_MACS = 100**3
 # must read for run's helper thread to compute the second half. A half of
 # 4 MiB makes over GEMM_MIN_MACS multiply-adds (n_classes >= 2), so both
 # halves take the whole product's gemm kernel. On 2 vCPUs with one BLAS
-# thread a split starts to gain at about 1 MiB a half, so the bits set the
-# bound.
+# thread a split starts to gain at about 1 MiB a half
+# (sketch.BREAK_EVEN_BYTES), so the bits set the bound.
 SPLIT_BYTES = 4 << 20
 # The full-batch products split only into whole tiles of this many rows or
 # columns: OpenBLAS's gemm computes the ragged edge of its 8-wide tiles in
@@ -113,7 +112,7 @@ class Problem:
 
     ``pool`` is a one-thread executor. When half of a logistic regression
     product reads at least SPLIT_BYTES of features, the pool's thread
-    computes that half (see _split): the full-batch logits by samples,
+    computes that half (see sketch._split): the full-batch logits by samples,
     the full-batch gradient by feature columns and the workers' gradients
     by workers. A noisy quadratic's gradient for iteration t starts the
     pool's thread on iteration t+1's noise rows (see _share_noise). Either
@@ -202,35 +201,6 @@ def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread:
         check_elements("the features, n_samples by dim / n_classes", n_samples, dim // n_classes)
 
 
-def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
-           part: Callable[[int, int], object], step: int = 1) -> None:
-    """Call part(lo, hi) over the range [0, n) of a product's units (rows,
-    columns or workers), each reading unit_bytes of features. With mid the
-    largest multiple of step up to n // 2, the pool's thread takes [mid, n)
-    while this thread takes [0, mid), when there is a pool, n is a multiple
-    of step and [0, mid) reads at least SPLIT_BYTES; the call returns once
-    both halves are done. The pool's half runs in a copy of this thread's
-    context, so under its numpy errstate. Each element of a product still
-    comes whole from one ``np.matmul`` call over the same reduction and,
-    with OpenBLAS at one thread, from the same kernel, so it has the same
-    bits as without a pool."""
-    if pool is None or not _splits(unit_bytes, n, step):
-        part(0, n)
-        return
-    mid = n // 2 // step * step
-    half = pool.submit(contextvars.copy_context().run, part, mid, n)
-    try:
-        part(0, mid)
-    finally:
-        concurrent.futures.wait([half])
-    half.result()
-
-
-def _splits(unit_bytes: int, n: int, step: int = 1) -> bool:
-    """Whether _split, given a pool, splits a product of n units of unit_bytes."""
-    return n % step == 0 and n // 2 // step * step * unit_bytes >= SPLIT_BYTES
-
-
 def _lifts(probs: np.ndarray) -> bool:
     """Whether at least one entry of the (rows, n_classes) probs per
     LIFT_ROWS rows is subnormal, so that a lifted product pays off."""
@@ -287,7 +257,7 @@ def logreg_gradients(
     holds at least one worker. Each block is one gather, one batched logits
     product, one softmax and one batched ``np.matmul``, which give each row
     the same bits as that worker's own ``probs.T @ features[batch] / b``,
-    with a pool too (see _split), and lifted too (see LIFT): a block lifts
+    with a pool too (see sketch._split), and lifted too (see LIFT): a block lifts
     when its gathered rows lower exactly. ``residuals``, if given, is the
     ``(n_samples, n_classes)`` softmax minus one-hot of every sample at x,
     with the bits a block would compute: the blocks gather their rows from
@@ -299,7 +269,7 @@ def logreg_gradients(
     per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
     # each gathered row's offset in the flat (m * b * n_classes) probabilities
     row_offsets = np.arange(min(n, per_block) * b) * n_classes
-    lifting = _splits(b * n_features * 8, n)
+    lifting = _splits(b * n_features * 8, n, bound=SPLIT_BYTES)
 
     def workers(first: int, stop: int) -> None:
         for lo in range(first, stop, per_block):
@@ -327,7 +297,7 @@ def logreg_gradients(
                 out=out[lo : lo + m].reshape(m, n_classes, n_features),
             )
 
-    _split(pool, b * n_features * 8, n, workers)
+    _split(pool, b * n_features * 8, n, workers, bound=SPLIT_BYTES)
     out /= b
     return out
 
@@ -367,12 +337,12 @@ def make_logreg(
     label_entries = np.arange(n_samples) * n_classes + labels
     # above the logits' split gate every half is over GEMM_MIN_MACS, and
     # there W @ X.T, the faster orientation, has the bits of X @ W.T
-    transposed = _splits(n_features * 8, n_samples, BLAS_TILE)
+    transposed = _splits(n_features * 8, n_samples, BLAS_TILE, SPLIT_BYTES)
     # the gradient product can lift (see LIFT) when it splits and the
     # features lower exactly. It lowers them into a block buffer per half, in
     # blocks of whole tiles that read at least SPLIT_BYTES: a narrower block
     # can take OpenBLAS's small-matrix kernel, which sums in another order.
-    lifting = _splits(n_samples * 8, n_features, BLAS_TILE)
+    lifting = _splits(n_samples * 8, n_features, BLAS_TILE, SPLIT_BYTES)
     width = BLAS_TILE * max(1, -(-SPLIT_BYTES // (BLAS_TILE * n_samples * 8)))
     buffers = None  # made at the first lift; False if the features do not lower exactly
     # the workers reuse evaluate's residual probabilities (see Problem)
@@ -389,7 +359,7 @@ def make_logreg(
             logits_t = np.empty((n_classes, n_samples))
             _split(pool, n_features * 8, n_samples,
                    lambda lo, hi: np.matmul(w, features[lo:hi].T, out=logits_t[:, lo:hi]),
-                   BLAS_TILE)
+                   BLAS_TILE, SPLIT_BYTES)
             # _shift_by_row_max's max, without its transposed copy
             logits_t -= logits_t.max(axis=0)
             # the row sum's pairwise order needs the rows contiguous
@@ -397,7 +367,8 @@ def make_logreg(
         else:
             logits = np.empty((n_samples, n_classes))
             _split(pool, n_features * 8, n_samples,
-                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]), BLAS_TILE)
+                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]),
+                   BLAS_TILE, SPLIT_BYTES)
             _shift_by_row_max(logits)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
@@ -419,7 +390,7 @@ def make_logreg(
         else:
             def product(lo: int, hi: int) -> None:
                 np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi])
-        _split(pool, n_samples * 8, n_features, product, BLAS_TILE)
+        _split(pool, n_samples * 8, n_features, product, BLAS_TILE, SPLIT_BYTES)
         grad /= n_samples
         return loss, grad.reshape(dim)
 
@@ -860,8 +831,13 @@ def _minibatches(
 
 
 def _check_step_invariants(
-    state: OptimizerState, diag: StepDiagnostics, prev_v_hat: np.ndarray | None, t: int
+    state: OptimizerState, diag: StepDiagnostics, prev_v_hat: np.ndarray | None, t: int,
+    pool: concurrent.futures.Executor | None = None,
 ) -> None:
+    """Raise InvariantViolation if step t broke the shadow identity, let
+    v_hat fall below prev_v_hat or left error on the chosen coordinates.
+    prev_v_hat then takes v_hat's values, for the next step's check; given
+    a pool, its thread compares and copies half of the coordinates."""
     # the gap is a difference of iterates, so its rounding grows with them;
     # the scale is at least 1, so only a gap above the bound needs it
     if diag.shadow_gap > SHADOW_GAP_TOL:
@@ -871,8 +847,22 @@ def _check_step_invariants(
                 f"shadow identity violated at iteration {t}: gap {diag.shadow_gap:.3e} "
                 f"> {SHADOW_GAP_TOL:.0e} * {scale:.3e}"
             )
-    if prev_v_hat is not None and (state.v_hat < prev_v_hat).any():
-        raise InvariantViolation(f"v_hat decreased at iteration {t}")
+    if prev_v_hat is not None:
+        if pool is None:  # below the gate: one compare, one copy, no closure
+            fell = [(state.v_hat < prev_v_hat).any()]
+            np.copyto(prev_v_hat, state.v_hat)
+        else:
+            fell = []
+
+            def coordinates(lo: int, hi: int) -> None:
+                now, before = state.v_hat[..., lo:hi], prev_v_hat[..., lo:hi]
+                fell.append((now < before).any())
+                np.copyto(before, now)
+
+            _split(pool, prev_v_hat.nbytes // prev_v_hat.shape[-1], prev_v_hat.shape[-1],
+                   coordinates)
+        if any(fell):
+            raise InvariantViolation(f"v_hat decreased at iteration {t}")
     if state.e is not None and (state.e[:, state.last_indices] != 0.0).any():
         raise InvariantViolation(f"error not zero on chosen set at iteration {t}")
 
@@ -894,14 +884,21 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     )
     grads = np.empty((config.n_workers, problem.dim))
     records: list[TraceRecord] = []
-    # the problem may hand work to the helper (see Problem), whose thread
-    # starts at its first submit
+    # v_hat before the step, for the check that v_hat never falls
+    prev_v_hat = None
+    if config.check_invariants and state.v_hat is not None:
+        prev_v_hat = state.v_hat.copy()
+    # the problem and the step may hand work to the helper (see Problem and
+    # step), whose thread starts at its first submit
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
+        # PA's (n, dim) v_hat is checked in coordinate halves when they pay
+        # (see sketch._split)
+        check_pool = None
+        if prev_v_hat is not None and _splits(prev_v_hat.nbytes // problem.dim, problem.dim):
+            check_pool = helper
         for t in range(1, config.horizon + 1):
             problem.gradient(state.x, t, grads, helper)
-            check = config.check_invariants and state.v_hat is not None
-            prev_v_hat = state.v_hat.copy() if check else None
-            diag = step(state, grads, params, proto, t)
+            diag = step(state, grads, params, proto, t, helper)
             loss, full_grad = problem.evaluate(state.x, pool=helper)
             grad_norm_sq = float(np.dot(full_grad, full_grad))
             for name, finite in (("iterate", np.isfinite(state.x).all()),
@@ -910,7 +907,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                 if not finite:
                     raise NumericError(f"non-finite {name} at iteration {t}")
             if config.check_invariants:
-                _check_step_invariants(state, diag, prev_v_hat, t)
+                _check_step_invariants(state, diag, prev_v_hat, t, check_pool)
             rate = compression_rate(problem.dim, diag.upstream_scalars, diag.downstream_scalars)
             records.append(
                 TraceRecord(

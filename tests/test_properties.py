@@ -759,7 +759,8 @@ def test_full_batch_logits_have_the_bits_of_x_times_w_t(
     # residual probabilities it hands the workers, its loss and its
     # gradient have the bits of the plain formulas over X @ W.T
     problem, (features, labels) = logreg_for_a_run(n_samples, n_classes, n_features, batch_size)
-    transposed = simulation._splits(n_features * 8, n_samples, simulation.BLAS_TILE)
+    transposed = simulation._splits(n_features * 8, n_samples, simulation.BLAS_TILE,
+                                    simulation.SPLIT_BYTES)
     assert transposed == (n_samples != 1016)
     x = np.random.default_rng(6).standard_normal(n_classes * n_features)
     out = np.empty((2, x.shape[0]))
