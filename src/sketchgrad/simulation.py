@@ -70,18 +70,22 @@ BLAS_TILE = 8
 # OpenBLAS multiplies a subnormal operand many times slower: once dense
 # AMSGrad separates the classes of a 60k logreg run, 3000-4000 of its
 # 20000 full-batch probabilities P are subnormal, and P.T @ X takes
-# 100-150 ms in place of about 10 (2 vCPUs, one BLAS thread; the times
-# below too). Such a product runs as
-# (P * LIFT).T @ (X / LIFT). Both scalings are exact, so every product
-# p * x is the same real number, and every multiply-add, partial sum and
-# result keeps its bits in any summation order. |p| <= 1 cannot overflow,
-# and x / LIFT is exact when x is 0 or |x| >= LIFT_FLOOR (_lowers_exactly).
-# Lowering X costs a pass over it, about as long as 300 subnormal entries
-# of P among 2000 rows cost, so a product lifts only when it splits
-# (_splits) and at least one entry of P per LIFT_ROWS rows is subnormal.
+# 100-150 ms in place of about 10 (2 vCPUs, one BLAS thread). So a problem
+# built for a run stores its features divided by LIFT when every division
+# is exact (_lowers_exactly: x is 0 or |x| >= LIFT_FLOOR) and half of them
+# reads at least SPLIT_BYTES; below that, the scalings' numpy calls cost
+# more than subnormal operands do. Every product on the lowered features
+# multiplies its other operand by LIFT: the weights W of the logits and
+# the probabilities P of the gradients. Each product w * x and p * x is
+# then the same real number as on the drawn features, so every multiply-add,
+# partial sum and result keeps its bits in any summation order, and no
+# lifted probability is subnormal. |p| <= 1 cannot overflow, and a
+# weight below LIFT_CEILING lifts below 2**1023. An x with an entry at or
+# above it, or a NaN, first multiplies the features back, exactly, and the
+# problem computes at scale 1 from then on.
 LIFT = 2.0**64
 LIFT_FLOOR = np.finfo(float).tiny * LIFT  # 2**-958
-LIFT_ROWS = 8
+LIFT_CEILING = 2.0**959
 
 
 @dataclass
@@ -90,10 +94,11 @@ class Problem:
 
     ``evaluate(x, pool=None)`` returns the full objective's loss and
     gradient from one shared pass: for logistic regression it computes the
-    logits over the whole dataset once, not twice. A logistic regression's
-    lifted gradient product (see LIFT) reuses the problem's block buffers,
-    and its gradient the last evaluate's probabilities (below), so its
-    evaluate and gradient calls must not overlap in time, as run's never do.
+    logits over the whole dataset once, not twice. A logistic regression
+    built for a run may multiply its lowered features back in place (see
+    LIFT), and its gradient reuses the last evaluate's probabilities
+    (below), so its evaluate and gradient calls must not overlap in time,
+    as run's never do.
 
     ``gradient(x, t, out, pool)`` fills the ``(n_workers, dim)`` array out
     with the workers' gradients at x for iteration t, row i worker i's:
@@ -201,37 +206,10 @@ def _check_logreg(n_samples: int, dim: int | None, n_classes: int, class_spread:
         check_elements("the features, n_samples by dim / n_classes", n_samples, dim // n_classes)
 
 
-def _lifts(probs: np.ndarray) -> bool:
-    """Whether at least one entry of the (rows, n_classes) probs per
-    LIFT_ROWS rows is subnormal, so that a lifted product pays off."""
-    subnormal = (probs != 0) & (np.abs(probs) < np.finfo(float).tiny)
-    return np.count_nonzero(subnormal) * LIFT_ROWS >= probs.shape[0]
-
-
 def _lowers_exactly(a: np.ndarray) -> bool:
     """Whether a / LIFT is exact: no nonzero entry is below LIFT_FLOOR in magnitude."""
     magnitudes = np.abs(a)
     return magnitudes.min(initial=np.inf) >= LIFT_FLOOR or not a[magnitudes < LIFT_FLOOR].any()
-
-
-def _lowered_columns(
-    lifted: np.ndarray, features: np.ndarray, out: np.ndarray, buffers: np.ndarray, width: int
-) -> Callable[[int, int], None]:
-    """part(lo, hi) for _split that fills out[:, lo:hi] with lifted.T @
-    (features[:, lo:hi] / LIFT). It lowers the features into one row of
-    buffers per half, a block of width columns at a time; the last block of
-    a half also takes the short rest, so no block is narrower than width."""
-    n_samples, n_features = features.shape
-
-    def part(lo: int, hi: int) -> None:
-        buffer = buffers[int(hi < n_features)]  # the two halves run at once
-        edges = [lo, *range(lo + width, hi - width + 1, width), hi]
-        for start, stop in zip(edges, edges[1:]):
-            block = buffer[: n_samples * (stop - start)].reshape(n_samples, -1)
-            np.multiply(features[:, start:stop], 1 / LIFT, out=block)
-            np.matmul(lifted.T, block, out=out[:, start:stop])
-
-    return part
 
 
 def _shift_by_row_max(logits: np.ndarray) -> None:
@@ -246,7 +224,7 @@ def _shift_by_row_max(logits: np.ndarray) -> None:
 def logreg_gradients(
     features: np.ndarray, labels: np.ndarray, x: np.ndarray, batches: np.ndarray,
     out: np.ndarray, pool: concurrent.futures.Executor | None = None,
-    residuals: np.ndarray | None = None,
+    residuals: np.ndarray | None = None, scale: float = 1.0,
 ) -> np.ndarray:
     """Every worker's minibatch gradient of the logistic regression on
     (features, labels) at x, from one call. ``batches`` is an ``(n, b)``
@@ -257,19 +235,21 @@ def logreg_gradients(
     holds at least one worker. Each block is one gather, one batched logits
     product, one softmax and one batched ``np.matmul``, which give each row
     the same bits as that worker's own ``probs.T @ features[batch] / b``,
-    with a pool too (see sketch._split), and lifted too (see LIFT): a block lifts
-    when its gathered rows lower exactly. ``residuals``, if given, is the
+    with a pool too (see sketch._split). ``residuals``, if given, is the
     ``(n_samples, n_classes)`` softmax minus one-hot of every sample at x,
     with the bits a block would compute: the blocks gather their rows from
-    it in place of their logits and softmax."""
+    it in place of their logits and softmax. ``scale`` is LIFT when the
+    features are a dataset lowered by it and x * LIFT is finite: the weights
+    and each block's probabilities are then lifted by it, and every row has
+    the bits it has at scale 1 on that dataset (see LIFT)."""
     n, b = batches.shape
     n_features = features.shape[1]
-    w_t = x.reshape(-1, n_features).T
+    w = x.reshape(-1, n_features)
+    w_t = (w * scale if scale != 1.0 else w).T
     n_classes = w_t.shape[1]
     per_block = max(1, GATHER_BUDGET // (b * n_features * 8))
     # each gathered row's offset in the flat (m * b * n_classes) probabilities
     row_offsets = np.arange(min(n, per_block) * b) * n_classes
-    lifting = _splits(b * n_features * 8, n, bound=SPLIT_BYTES)
 
     def workers(first: int, stop: int) -> None:
         for lo in range(first, stop, per_block):
@@ -288,9 +268,8 @@ def logreg_gradients(
                 label_entries = labels[idx]
                 label_entries += row_offsets[: m * b]
                 probs.reshape(-1)[label_entries] -= 1.0
-            if lifting and _lifts(probs) and _lowers_exactly(xb):
-                probs *= LIFT
-                xb *= 1 / LIFT  # a gathered copy
+            if scale != 1.0:
+                probs *= scale  # residuals' rows are a gathered copy
             np.matmul(
                 probs.reshape(m, b, n_classes).transpose(0, 2, 1),
                 xb,
@@ -317,9 +296,11 @@ def make_logreg(
     features: the noise is drawn straight into the feature matrix and
     each row's class centre is added in place, in row blocks of at most
     GATHER_BUDGET bytes, with the same bits as centers[labels] + noise.
-    Whether the features lower exactly, which evaluate's lifted gradient
-    product needs (see LIFT), is checked at its first lift and kept:
-    evaluate reads the features as they were built.
+    With a config, the returned features are the problem's own: when half
+    of them reads at least SPLIT_BYTES and they all lower exactly, each
+    block is also divided by LIFT in place, and the problem computes at
+    scale LIFT (see LIFT) until an x that LIFT would overflow multiplies
+    them back to the drawn bits.
     """
     _check_logreg(n_samples, dim, n_classes, class_spread)
     n_features = dim // n_classes
@@ -328,23 +309,33 @@ def make_logreg(
     labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
     features = rng.standard_normal((n_samples, n_features))
+    # the scale of the stored features' products (see LIFT)
+    large = config is not None and _splits(n_samples * 8, n_features, bound=SPLIT_BYTES)
+    scale = LIFT if large else 1.0
     per_block = max(1, GATHER_BUDGET // (n_features * 8))
     for lo in range(0, n_samples, per_block):
         block = features[lo : lo + per_block]
         block += centers[labels[lo : lo + per_block]]
+        if scale != 1.0 and _lowers_exactly(block):
+            block *= 1 / LIFT
+        elif scale != 1.0:
+            features[:lo] *= LIFT  # back to the drawn bits
+            scale = 1.0
+
+    def scale_for(x: np.ndarray) -> float:
+        """The scale of the products at x: 1 from the first x that LIFT
+        overflows on, which first multiplies the features back to the drawn bits."""
+        nonlocal scale
+        if scale != 1.0 and not np.abs(x).max() < LIFT_CEILING:
+            np.multiply(features, scale, out=features)
+            scale = 1.0
+        return scale
 
     # each sample's label entry in the flat (n_samples * n_classes) logits
     label_entries = np.arange(n_samples) * n_classes + labels
     # above the logits' split gate every half is over GEMM_MIN_MACS, and
     # there W @ X.T, the faster orientation, has the bits of X @ W.T
     transposed = _splits(n_features * 8, n_samples, BLAS_TILE, SPLIT_BYTES)
-    # the gradient product can lift (see LIFT) when it splits and the
-    # features lower exactly. It lowers them into a block buffer per half, in
-    # blocks of whole tiles that read at least SPLIT_BYTES: a narrower block
-    # can take OpenBLAS's small-matrix kernel, which sums in another order.
-    lifting = _splits(n_samples * 8, n_features, BLAS_TILE, SPLIT_BYTES)
-    width = BLAS_TILE * max(1, -(-SPLIT_BYTES // (BLAS_TILE * n_samples * 8)))
-    buffers = None  # made at the first lift; False if the features do not lower exactly
     # the workers reuse evaluate's residual probabilities (see Problem)
     reuse = config is not None and (
         min(config.batch_size, n_samples) * n_features * n_classes > GEMM_MIN_MACS)
@@ -353,8 +344,11 @@ def make_logreg(
     last = None
 
     def evaluate(x: np.ndarray, pool=None) -> tuple[float, np.ndarray]:
-        nonlocal buffers, last
+        nonlocal last
         w = x.reshape(n_classes, n_features)
+        factor = scale_for(x)
+        if factor != 1.0:
+            w = w * factor
         if transposed:
             logits_t = np.empty((n_classes, n_samples))
             _split(pool, n_features * 8, n_samples,
@@ -378,19 +372,11 @@ def make_logreg(
         probs.reshape(-1)[label_entries] -= 1.0
         if reuse:
             last = np.array(x, dtype=np.float64).view(np.uint64), probs
+        lifted = probs * factor if factor != 1.0 else probs  # last keeps probs as they are
         grad = np.empty((n_classes, n_features))
-        lifts = lifting and buffers is not False and _lifts(probs)
-        if lifts and buffers is None:
-            lowers = all(_lowers_exactly(features[lo : lo + per_block])
-                         for lo in range(0, n_samples, per_block))
-            # np.empty: the buffers' pages are mapped as a lift first writes them
-            buffers = np.empty((2, n_samples * 2 * width)) if lowers else False
-        if lifts and buffers is not False:
-            product = _lowered_columns(probs * LIFT, features, grad, buffers, width)
-        else:
-            def product(lo: int, hi: int) -> None:
-                np.matmul(probs.T, features[:, lo:hi], out=grad[:, lo:hi])
-        _split(pool, n_samples * 8, n_features, product, BLAS_TILE, SPLIT_BYTES)
+        _split(pool, n_samples * 8, n_features,
+               lambda lo, hi: np.matmul(lifted.T, features[:, lo:hi], out=grad[:, lo:hi]),
+               BLAS_TILE, SPLIT_BYTES)
         grad /= n_samples
         return loss, grad.reshape(dim)
 
@@ -404,7 +390,8 @@ def make_logreg(
     def gradient(x: np.ndarray, t: int, out: np.ndarray, pool) -> None:
         reused = last is not None and np.array_equal(
             last[0], np.asarray(x, dtype=np.float64).view(np.uint64))
-        logreg_gradients(features, labels, x, next(batches), out, pool, last[1] if reused else None)
+        logreg_gradients(features, labels, x, next(batches), out, pool,
+                         last[1] if reused else None, scale_for(x))
 
     return Problem(dim, evaluate, gradient), (features, labels)
 

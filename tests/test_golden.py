@@ -10,9 +10,9 @@ point query are pinned. The 60k shapes reach what the small ones never do:
 all three split logistic regression products and the noise the helper
 thread draws ahead. One more 60k entry runs logistic regression's dense
 AMSGrad for 8 iterations, not 3: at iterations 7 and 8 thousands of its
-full-batch probabilities are subnormal, so both of its products take the
-lifted route (simulation.LIFT), the full-batch one in blocks of lowered
-feature columns. One more runs dense SGD at batch_size 8: its workers'
+full-batch probabilities are subnormal, and the run's products take
+them lifted, against the features its problem stores lowered
+(simulation.LIFT). One more runs dense SGD at batch_size 8: its workers'
 logits products (8 x 6000 x 10 multiply-adds each) take OpenBLAS's
 small-matrix kernel, where a row of logits has other bits than in the
 full-batch product, so they must not reuse evaluate's probabilities
@@ -90,21 +90,20 @@ def test_trace_matches_golden_hash(tmp_path, problem, variant):
 
 
 def test_subnormal_trace_keeps_its_hash_on_the_lifted_route(monkeypatch, tmp_path):
-    # with the size gate at 0, the worker gradients of dense AMSGrad at
-    # alpha 5 lift the blocks where enough probabilities are subnormal and
-    # run the others plain; make_logreg's features all lower exactly, so
-    # each True verdict is a lifted block
-    verdicts = []
-    lifts = simulation._lifts
+    # with the size gate at 0, the run's problem stores its features lowered
+    # and every product of dense AMSGrad at alpha 5 runs lifted, its
+    # subnormal probabilities among them
+    scales = []
+    gradients = simulation.logreg_gradients
 
-    def recording(probs):
-        verdicts.append(lifts(probs))
-        return verdicts[-1]
+    def recording(features, labels, x, batches, out, pool=None, residuals=None, scale=1.0):
+        scales.append(scale)
+        return gradients(features, labels, x, batches, out, pool, residuals, scale)
 
     monkeypatch.setattr(simulation, "SPLIT_BYTES", 0)
-    monkeypatch.setattr(simulation, "_lifts", recording)
+    monkeypatch.setattr(simulation, "logreg_gradients", recording)
     test_trace_matches_golden_hash(tmp_path, "logreg_subnormal", "dense_amsgrad")
-    assert any(verdicts) and not all(verdicts)
+    assert scales == [simulation.LIFT] * BASE["logreg_subnormal"].horizon
 
 
 @pytest.mark.parametrize("problem,variant", sorted(

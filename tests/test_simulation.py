@@ -549,9 +549,10 @@ def test_draw_chunks_do_not_show_in_the_run(monkeypatch, tmp_path):
     gradients, draws = simulation.logreg_gradients, simulation._bounded_draws
     batches, lanes = [], []
 
-    def recording_gradients(features, labels, x, batch, out, pool=None, residuals=None):
+    def recording_gradients(features, labels, x, batch, out, pool=None, residuals=None,
+                            scale=1.0):
         batches.append(batch.copy())
-        return gradients(features, labels, x, batch, out, pool, residuals)
+        return gradients(features, labels, x, batch, out, pool, residuals, scale)
 
     def recording_draws(words, sizes, b):
         lanes.append(words.shape[0])
