@@ -2,7 +2,7 @@
 
 The l1-scaled sign compressor and the two-round sketched top-k
 aggregation used by the distributed optimizers.
-``sketched_topk_aggregate(payloads, cfg, v_hat=None, pool=None)`` takes the
+``sketched_topk_aggregate(payloads, cfg, v_hat=None)`` takes the
 workers' payloads as the rows of one ``(n, dim)`` matrix: all rows are
 sketched in one sparse product, the server merges the sketches and
 extracts P*k candidate coordinates, a second round gathers the exact
@@ -10,13 +10,10 @@ candidate values from every worker, and the final update keeps the
 top-k of the exact means. Given ``v_hat``, candidates and winners are
 ranked by estimate / sqrt(v_hat), which is how the gradient-averaging
 optimizer applies its adaptive preconditioner through the sketch.
-Given a one-thread executor as ``pool``, its thread may sketch half of
-the workers and point-query half of the coordinates, with the same bits.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,15 +120,10 @@ def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
     reduces the outer axis of a C-ordered array row by row, in the loop's
     order, but sums an F-ordered array (a transposed sketch product) and
     rows of one element pairwise, which rounds otherwise from 8 rows on.
-    So rows whose elements are not adjacent are made C-ordered (a column
-    slice of a C-ordered array is reduced as it is, without a copy), and
-    one-element rows go through np.add.accumulate, sequential by
-    definition, + 0.0 for the loop's +0.0.
+    So the rows are made C-ordered, and one-element rows go through
+    np.add.accumulate, sequential by definition, + 0.0 for the loop's +0.0.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.strides[1] != rows.itemsize or (
-            rows.strides[0] < rows.shape[1] * rows.itemsize):
-        rows = np.ascontiguousarray(rows)
+    rows = np.ascontiguousarray(rows)
     n = rows.shape[0]
     if n == 0:
         raise ValueError("no rows to average")
@@ -140,17 +132,14 @@ def sequential_mean(rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
     return np.add.reduce(rows, axis=0, initial=0.0) / n
 
 
-def _merged_sketch(
-    payloads: np.ndarray, cfg: ProtocolConfig, pool: concurrent.futures.Executor | None = None
-) -> CountSketch:
+def _merged_sketch(payloads: np.ndarray, cfg: ProtocolConfig) -> CountSketch:
     """Mean of the worker sketches, summed in worker order."""
-    mean = sequential_mean(sketch_rows(cfg.sketch, payloads, pool).T)
+    mean = sequential_mean(sketch_rows(cfg.sketch, payloads).T)
     return CountSketch(cfg.sketch, mean.reshape(cfg.sketch.rows, cfg.sketch.cols))
 
 
 def sketched_topk_aggregate(
-    payloads: np.ndarray | list[np.ndarray], cfg: ProtocolConfig, v_hat: np.ndarray | None = None,
-    pool: concurrent.futures.Executor | None = None,
+    payloads: np.ndarray | list[np.ndarray], cfg: ProtocolConfig, v_hat: np.ndarray | None = None
 ) -> AggregationResult:
     """Two-round sketched aggregation of the rows of an (n, dim) payload
     matrix, one row per worker.
@@ -162,9 +151,9 @@ def sketched_topk_aggregate(
     sqrt(v_hat_i) before candidate ranking.
     """
     payloads = np.asarray(payloads, dtype=np.float64)
-    merged = _merged_sketch(payloads, cfg, pool)
+    merged = _merged_sketch(payloads, cfg)
     if v_hat is None:
-        candidates = merged.heavy_candidates(cfg.n_candidates, pool)
+        candidates = merged.heavy_candidates(cfg.n_candidates)
     else:
         v_hat = np.asarray(v_hat, dtype=np.float64)
         if v_hat.shape != (cfg.sketch.dim,):
@@ -172,7 +161,7 @@ def sketched_topk_aggregate(
         if not (v_hat > 0).all():
             raise ValueError("v_hat must be strictly positive")
         scale = np.sqrt(v_hat)
-        candidates = top_m(np.abs(merged.estimate_all(pool) / scale), cfg.n_candidates)
+        candidates = top_m(np.abs(merged.estimate_all() / scale), cfg.n_candidates)
     mean_vals = sequential_mean(payloads[:, candidates])
     scores = np.abs(mean_vals)
     if v_hat is not None:

@@ -29,14 +29,13 @@ error at every step, which is the invariant the test suite checks.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compressors import ProtocolConfig, sequential_mean, sketched_topk_aggregate
-from .sketch import _split, check_elements, top_m
+from .sketch import check_elements, top_m
 
 VARIANTS = ("pa", "ga", "dense_amsgrad", "sketched_sgd", "dense_sgd")
 SKETCHED = ("pa", "ga", "sketched_sgd")
@@ -157,11 +156,11 @@ def _check_grads(grads, n: int, dim: int, t: int) -> np.ndarray:
     return grads
 
 
-def _update_variance(v: np.ndarray, v_hat: np.ndarray, g: np.ndarray, beta2: float) -> None:
+def _update_variance(state: OptimizerState, g: np.ndarray, beta2: float) -> None:
     """v = beta2 v + (1 - beta2) g^2 and v_hat = max(v_hat, v), in place."""
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    np.maximum(v_hat, v, out=v_hat)
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    np.maximum(state.v_hat, state.v, out=state.v_hat)
 
 
 def _selection_diagnostics(
@@ -186,17 +185,10 @@ def step(
     params: HyperParams,
     cfg: ProtocolConfig | None,
     t: int,
-    pool: concurrent.futures.Executor | None = None,
 ) -> StepDiagnostics:
     """One synchronous step of ``state.variant`` on n worker gradients
     (an ``(n, dim)`` array or a list of rows); updates ``state`` in place.
-    ``cfg`` is the sketch protocol, unused by the dense variants.
-
-    Given a one-thread executor as ``pool``, a sketched step may hand its
-    thread half of each pass that is exact per coordinate or per worker
-    (see sketch._split): the workers' state updates and payload means by
-    coordinates, the sketch product by workers and the point query by
-    coordinates. The state and diagnostics keep their bits."""
+    ``cfg`` is the sketch protocol, unused by the dense variants."""
     variant = state.variant
     dim = state.x.shape[0]
     grads = _check_grads(grads, params.n_workers, dim, t)
@@ -210,50 +202,37 @@ def step(
         else:
             state.m *= beta1
             state.m += (1.0 - beta1) * g
-            _update_variance(state.v, state.v_hat, g, params.beta2)
+            _update_variance(state, g, params.beta2)
             state.x -= alpha_t * (state.m / np.sqrt(state.v_hat))
         return StepDiagnostics(0.0, 1.0, math.nan, dim, dim)
 
-    inv_scale = None
-    if variant == "ga":
+    state.m *= beta1
+    state.m += grads if variant == "sketched_sgd" else (1.0 - beta1) * grads
+    direction, inv_scale = state.m, None
+    if variant == "pa":
+        _update_variance(state, grads, params.beta2)
+        direction = np.sqrt(state.v_hat)
+        np.divide(state.m, direction, out=direction)
+    elif variant == "ga":
         # the h payload: exact gradients on the previously chosen coordinates
         h_mean = np.zeros(dim)
         h_mean[state.last_indices] = sequential_mean(grads[:, state.last_indices])
-        _update_variance(state.v, state.v_hat, h_mean, params.beta2)
+        _update_variance(state, h_mean, params.beta2)
         inv_scale = 1.0 / np.sqrt(state.v_hat)
-    shadow_mean = None if state.shadow_x is None else np.empty(dim)
-    target = np.empty(dim)
-
-    def coordinates(lo: int, hi: int) -> None:
-        # the workers' state on coordinates lo to hi, and those coordinates' payload means
-        m, g = state.m[:, lo:hi], grads[:, lo:hi]
-        m *= beta1
-        m += g if variant == "sketched_sgd" else (1.0 - beta1) * g
-        direction = m
-        if variant == "pa":
-            v_hat = state.v_hat[:, lo:hi]
-            _update_variance(state.v[:, lo:hi], v_hat, g, params.beta2)
-            direction = np.sqrt(v_hat)
-            np.divide(m, direction, out=direction)
-        payloads = state.e[:, lo:hi]  # the carried error becomes this round's payload
-        payloads += direction
-        if shadow_mean is not None:
-            shadow_mean[lo:hi] = sequential_mean(direction)
-        target[lo:hi] = sequential_mean(payloads)
-
-    _split(pool, params.n_workers * grads.itemsize, dim, coordinates)
-    payloads = state.e
+    payloads = state.e  # the carried error becomes this round's payload
+    payloads += direction
     # the shadow iterate's step, also the error's weight in the shadow identity
     rate = alpha_t if inv_scale is None else alpha_t * inv_scale
-    if shadow_mean is not None:
-        state.shadow_x -= rate * shadow_mean
+    if state.shadow_x is not None:
+        state.shadow_x -= rate * sequential_mean(direction)
+    del direction  # PA's (n, dim) temporary is not held through the aggregation
 
     # every mean the aggregation takes is a coordinate of target, so a
     # finite target also rules out an overflowing sum of finite payloads
+    target = sequential_mean(payloads)
     if not np.isfinite(target).all():
         raise NumericError(f"non-finite payload mean at iteration {t}")
-    agg = sketched_topk_aggregate(
-        payloads, cfg, v_hat=state.v_hat if variant == "ga" else None, pool=pool)
+    agg = sketched_topk_aggregate(payloads, cfg, v_hat=state.v_hat if variant == "ga" else None)
     chosen = agg.global_update.indices
     payloads[:, chosen] = 0.0  # the error keeps what was not sent
     state.last_indices = chosen

@@ -10,6 +10,7 @@ minibatch draws, so a (config, seed) pair reproduces a run bit for bit.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import csv
 import dataclasses
 import math
@@ -31,7 +32,7 @@ from .optimizers import (
     StepDiagnostics,
     step,
 )
-from .sketch import SketchConfig, _split, _splits, check_elements
+from .sketch import SketchConfig, check_elements
 
 SHADOW_GAP_TOL = 1e-9
 
@@ -59,13 +60,52 @@ GEMM_MIN_MACS = 100**3
 # must read for run's helper thread to compute the second half. A half of
 # 4 MiB makes over GEMM_MIN_MACS multiply-adds (n_classes >= 2), so both
 # halves take the whole product's gemm kernel. On 2 vCPUs with one BLAS
-# thread a split starts to gain at about 1 MiB a half
-# (sketch.BREAK_EVEN_BYTES), so the bits set the bound.
+# thread a split starts to gain at about 1 MiB a half, so the bits set the
+# bound.
 SPLIT_BYTES = 4 << 20
 # The full-batch products split only into whole tiles of this many rows or
 # columns: OpenBLAS's gemm computes the ragged edge of its 8-wide tiles in
 # an order that depends on where the edge falls.
 BLAS_TILE = 8
+
+
+def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
+           part: Callable[[int, int], object], step: int = 1) -> None:
+    """Call part(lo, hi) over the range [0, n) of a product's units (rows,
+    columns or workers), each reading unit_bytes of features. With mid the
+    largest multiple of step up to n // 2, when there is a pool and
+    _splits(unit_bytes, n, step), the pool's thread is handed [mid, n) while
+    this thread runs [0, mid); the call returns once both halves are done.
+    A half the pool's thread has not started by then is cancelled and run
+    on this thread, so a busy pool costs the call nothing but the submit.
+    The pool's half runs in a copy of this thread's context, so under its
+    numpy errstate. An exception in a half is raised here, this thread's
+    first. Each element of a product still comes whole from one
+    ``np.matmul`` call over the same reduction and, with OpenBLAS at one
+    thread, from the same kernel (see SPLIT_BYTES), so it has the same bits
+    as without a pool."""
+    if pool is None or not _splits(unit_bytes, n, step):
+        part(0, n)
+        return
+    mid = n // 2 // step * step
+    half = pool.submit(contextvars.copy_context().run, part, mid, n)
+    try:
+        part(0, mid)
+    finally:
+        if not half.cancel():
+            concurrent.futures.wait([half])
+    if half.cancelled():
+        part(mid, n)
+    else:
+        half.result()
+
+
+def _splits(unit_bytes: int, n: int, step: int = 1) -> bool:
+    """Whether _split, given a pool, splits a product of n units of
+    unit_bytes: n is a multiple of step and its first half reads at least
+    SPLIT_BYTES."""
+    return n % step == 0 and n // 2 // step * step * unit_bytes >= SPLIT_BYTES
+
 
 # OpenBLAS multiplies a subnormal operand many times slower: once dense
 # AMSGrad separates the classes of a 60k logreg run, 3000-4000 of its
@@ -117,7 +157,7 @@ class Problem:
 
     ``pool`` is a one-thread executor. When half of a logistic regression
     product reads at least SPLIT_BYTES of features, the pool's thread
-    computes that half (see sketch._split): the full-batch logits by samples,
+    computes that half (see _split): the full-batch logits by samples,
     the full-batch gradient by feature columns and the workers' gradients
     by workers. A noisy quadratic's gradient for iteration t starts the
     pool's thread on iteration t+1's noise rows (see _share_noise). Either
@@ -178,11 +218,12 @@ def make_quadratic(
             shared = _share_noise(pool, next(words), noise)
         noise_words, rows, drawing = shared
         _draw_noise(noise_words, noise, rows)
-        drawing.result()
+        if drawing is not None:
+            drawing.result()
         # scaled on this thread, under the caller's errstate, once both
         # threads are done with iteration t's rows
         np.multiply(noise, noise_scale, out=out)
-        # the pool's thread starts on the next iteration's rows while the
+        # a pool's thread starts on the next iteration's rows while the
         # caller steps: the draws do not depend on the iterate
         if t < config.horizon:
             shared = _share_noise(pool, next(words), noise)
@@ -235,7 +276,7 @@ def logreg_gradients(
     holds at least one worker. Each block is one gather, one batched logits
     product, one softmax and one batched ``np.matmul``, which give each row
     the same bits as that worker's own ``probs.T @ features[batch] / b``,
-    with a pool too (see sketch._split). ``residuals``, if given, is the
+    with a pool too (see _split). ``residuals``, if given, is the
     ``(n_samples, n_classes)`` softmax minus one-hot of every sample at x,
     with the bits a block would compute: the blocks gather their rows from
     it in place of their logits and softmax. ``scale`` is LIFT when the
@@ -276,7 +317,7 @@ def logreg_gradients(
                 out=out[lo : lo + m].reshape(m, n_classes, n_features),
             )
 
-    _split(pool, b * n_features * 8, n, workers, bound=SPLIT_BYTES)
+    _split(pool, b * n_features * 8, n, workers)
     out /= b
     return out
 
@@ -310,7 +351,7 @@ def make_logreg(
     rng.shuffle(labels)
     features = rng.standard_normal((n_samples, n_features))
     # the scale of the stored features' products (see LIFT)
-    large = config is not None and _splits(n_samples * 8, n_features, bound=SPLIT_BYTES)
+    large = config is not None and _splits(n_samples * 8, n_features)
     scale = LIFT if large else 1.0
     per_block = max(1, GATHER_BUDGET // (n_features * 8))
     for lo in range(0, n_samples, per_block):
@@ -335,7 +376,7 @@ def make_logreg(
     label_entries = np.arange(n_samples) * n_classes + labels
     # above the logits' split gate every half is over GEMM_MIN_MACS, and
     # there W @ X.T, the faster orientation, has the bits of X @ W.T
-    transposed = _splits(n_features * 8, n_samples, BLAS_TILE, SPLIT_BYTES)
+    transposed = _splits(n_features * 8, n_samples, BLAS_TILE)
     # the workers reuse evaluate's residual probabilities (see Problem)
     reuse = config is not None and (
         min(config.batch_size, n_samples) * n_features * n_classes > GEMM_MIN_MACS)
@@ -353,7 +394,7 @@ def make_logreg(
             logits_t = np.empty((n_classes, n_samples))
             _split(pool, n_features * 8, n_samples,
                    lambda lo, hi: np.matmul(w, features[lo:hi].T, out=logits_t[:, lo:hi]),
-                   BLAS_TILE, SPLIT_BYTES)
+                   BLAS_TILE)
             # _shift_by_row_max's max, without its transposed copy
             logits_t -= logits_t.max(axis=0)
             # the row sum's pairwise order needs the rows contiguous
@@ -361,8 +402,7 @@ def make_logreg(
         else:
             logits = np.empty((n_samples, n_classes))
             _split(pool, n_features * 8, n_samples,
-                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]),
-                   BLAS_TILE, SPLIT_BYTES)
+                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]), BLAS_TILE)
             _shift_by_row_max(logits)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
@@ -376,7 +416,7 @@ def make_logreg(
         grad = np.empty((n_classes, n_features))
         _split(pool, n_samples * 8, n_features,
                lambda lo, hi: np.matmul(lifted.T, features[:, lo:hi], out=grad[:, lo:hi]),
-               BLAS_TILE, SPLIT_BYTES)
+               BLAS_TILE)
         grad /= n_samples
         return loss, grad.reshape(dim)
 
@@ -723,16 +763,17 @@ def _draw_noise(words: np.ndarray, out: np.ndarray, rows: queue.SimpleQueue) -> 
 
 
 def _share_noise(
-    helper: concurrent.futures.Executor, words: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, queue.SimpleQueue, concurrent.futures.Future]:
+    helper: concurrent.futures.Executor | None, words: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, queue.SimpleQueue, concurrent.futures.Future | None]:
     """Queue every row of out for the noise of the iteration whose words
-    are given and start the helper drawing them. Return the words, the
-    queue, from which the caller draws the rows the helper has not claimed,
-    and the helper's future."""
+    are given and start the helper, if there is one, drawing them. Return
+    the words, the queue, from which the caller draws the rows the helper
+    has not claimed, and the helper's future (None without a helper)."""
     rows = queue.SimpleQueue()
     for i in range(out.shape[0]):
         rows.put(i)
-    return words, rows, helper.submit(_draw_noise, words, out, rows)
+    drawing = None if helper is None else helper.submit(_draw_noise, words, out, rows)
+    return words, rows, drawing
 
 
 def _add128(hi, lo, add_hi, add_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -818,13 +859,11 @@ def _minibatches(
 
 
 def _check_step_invariants(
-    state: OptimizerState, diag: StepDiagnostics, prev_v_hat: np.ndarray | None, t: int,
-    pool: concurrent.futures.Executor | None = None,
+    state: OptimizerState, diag: StepDiagnostics, prev_v_hat: np.ndarray | None, t: int
 ) -> None:
     """Raise InvariantViolation if step t broke the shadow identity, let
     v_hat fall below prev_v_hat or left error on the chosen coordinates.
-    prev_v_hat then takes v_hat's values, for the next step's check; given
-    a pool, its thread compares and copies half of the coordinates."""
+    prev_v_hat then takes v_hat's values, for the next step's check."""
     # the gap is a difference of iterates, so its rounding grows with them;
     # the scale is at least 1, so only a gap above the bound needs it
     if diag.shadow_gap > SHADOW_GAP_TOL:
@@ -835,21 +874,9 @@ def _check_step_invariants(
                 f"> {SHADOW_GAP_TOL:.0e} * {scale:.3e}"
             )
     if prev_v_hat is not None:
-        if pool is None:  # below the gate: one compare, one copy, no closure
-            fell = [(state.v_hat < prev_v_hat).any()]
-            np.copyto(prev_v_hat, state.v_hat)
-        else:
-            fell = []
-
-            def coordinates(lo: int, hi: int) -> None:
-                now, before = state.v_hat[..., lo:hi], prev_v_hat[..., lo:hi]
-                fell.append((now < before).any())
-                np.copyto(before, now)
-
-            _split(pool, prev_v_hat.nbytes // prev_v_hat.shape[-1], prev_v_hat.shape[-1],
-                   coordinates)
-        if any(fell):
+        if (state.v_hat < prev_v_hat).any():
             raise InvariantViolation(f"v_hat decreased at iteration {t}")
+        np.copyto(prev_v_hat, state.v_hat)
     if state.e is not None and (state.e[:, state.last_indices] != 0.0).any():
         raise InvariantViolation(f"error not zero on chosen set at iteration {t}")
 
@@ -875,17 +902,12 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
     prev_v_hat = None
     if config.check_invariants and state.v_hat is not None:
         prev_v_hat = state.v_hat.copy()
-    # the problem and the step may hand work to the helper (see Problem and
-    # step), whose thread starts at its first submit
+    # the problem may hand work to the helper (see Problem), whose thread
+    # starts at its first submit
     with concurrent.futures.ThreadPoolExecutor(1) as helper:
-        # PA's (n, dim) v_hat is checked in coordinate halves when they pay
-        # (see sketch._split)
-        check_pool = None
-        if prev_v_hat is not None and _splits(prev_v_hat.nbytes // problem.dim, problem.dim):
-            check_pool = helper
         for t in range(1, config.horizon + 1):
             problem.gradient(state.x, t, grads, helper)
-            diag = step(state, grads, params, proto, t, helper)
+            diag = step(state, grads, params, proto, t)
             loss, full_grad = problem.evaluate(state.x, pool=helper)
             grad_norm_sq = float(np.dot(full_grad, full_grad))
             for name, finite in (("iterate", np.isfinite(state.x).all()),
@@ -894,7 +916,7 @@ def run(config: RunConfig) -> tuple[np.ndarray, list[TraceRecord]]:
                 if not finite:
                     raise NumericError(f"non-finite {name} at iteration {t}")
             if config.check_invariants:
-                _check_step_invariants(state, diag, prev_v_hat, t, check_pool)
+                _check_step_invariants(state, diag, prev_v_hat, t)
             rate = compression_rate(problem.dim, diag.upstream_scalars, diag.downstream_scalars)
             records.append(
                 TraceRecord(

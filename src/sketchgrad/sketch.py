@@ -20,13 +20,10 @@ comes from the high 32 bits of the mixed word, the sign from bit 0.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 from dataclasses import dataclass
 from functools import lru_cache
 import math
 import struct
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -45,60 +42,6 @@ def check_elements(name: str, *sizes: int) -> None:
     if math.prod(sizes) > np.iinfo(np.intp).max:
         shape = " x ".join(map(str, sizes))
         raise ValueError(f"{name} ({shape}) has more elements than numpy can address")
-
-
-# Bytes that the first half of a pass must read for a helper thread to
-# take the second half, where the halves cannot change a bit: the sketched
-# step's per-coordinate passes (bytes of one (n, dim) array), the workers'
-# sketch product and the point query. Below it the submit, the wait and the
-# two threads' turns at the interpreter lock cost more than the half saves.
-# Measured alone in a loop at 8 workers and 5 sketch rows (2 vCPUs, one BLAS
-# thread), split time over whole time at halves of 0.24, 0.49, 0.98, 1.46
-# and 1.95 MiB: PA's coordinate pass 1.38, 0.69, 0.61, 0.49, 0.56; the
-# sketch product 1.59, 0.94, 1.28, 0.91, 0.71; the point query 2.38, 1.22,
-# 0.98, 0.63, 0.49.
-BREAK_EVEN_BYTES = 1 << 20
-
-
-def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
-           part: Callable[[int, int], object], step: int = 1, bound: int | None = None) -> None:
-    """Call part(lo, hi) over the range [0, n) of units (rows, columns,
-    coordinates or workers), each reading unit_bytes. With mid the largest
-    multiple of step up to n // 2, when there is a pool and _splits(unit_bytes,
-    n, step, bound), the pool's thread is handed [mid, n) while this thread
-    runs [0, mid); the call returns once both halves are done. A half the
-    pool's thread has not started by then is cancelled and run on this
-    thread, so a busy pool costs the call nothing but the submit. The pool's
-    half runs in a copy of this thread's context, so under its numpy
-    errstate. An exception in a half is raised here, this thread's first.
-
-    The caller makes the halves exact: each element comes whole from one
-    half, computed as the whole call computes it. A product's element comes
-    from one ``np.matmul`` call over the same reduction and, with OpenBLAS
-    at one thread, from the same kernel (see simulation.SPLIT_BYTES)."""
-    if pool is None or not _splits(unit_bytes, n, step, bound):
-        part(0, n)
-        return
-    mid = n // 2 // step * step
-    half = pool.submit(contextvars.copy_context().run, part, mid, n)
-    try:
-        part(0, mid)
-    finally:
-        if not half.cancel():
-            concurrent.futures.wait([half])
-    if half.cancelled():
-        part(mid, n)
-    else:
-        half.result()
-
-
-def _splits(unit_bytes: int, n: int, step: int = 1, bound: int | None = None) -> bool:
-    """Whether _split, given a pool, splits n units of unit_bytes: n is a
-    multiple of step and its first half reads at least bound bytes
-    (BREAK_EVEN_BYTES when None)."""
-    if bound is None:
-        bound = BREAK_EVEN_BYTES
-    return n % step == 0 and n // 2 // step * step * unit_bytes >= bound
 
 
 @dataclass(frozen=True)
@@ -301,33 +244,21 @@ class CountSketch:
         vals = signs[index] * self.table.reshape(-1)[cells[index]]
         return float(_median_of_rows(vals[:, None])[0])
 
-    def estimate_all(self, pool: concurrent.futures.Executor | None = None) -> np.ndarray:
+    def estimate_all(self) -> np.ndarray:
         """Point-query every coordinate (the median over rows, as np.median
-        takes it, up to the sign of a zero); O(dim * rows). Given a pool,
-        its thread may query half of the coordinates (see _split), with the
-        same bits."""
+        takes it, up to the sign of a zero); O(dim * rows)."""
         cells, signs = _cells(self.config)
-        table = self.table.reshape(-1)
-        out = np.empty(self.config.dim)
+        vals = np.take(self.table.reshape(-1), cells.T)
+        vals *= signs.T
+        return _median_of_rows(vals)
 
-        def part(lo: int, hi: int) -> None:
-            vals = np.take(table, cells[lo:hi].T)
-            vals *= signs[lo:hi].T
-            out[lo:hi] = _median_of_rows(vals)
-
-        _split(pool, self.config.rows * (cells.itemsize + signs.itemsize), self.config.dim, part)
-        return out
-
-    def heavy_candidates(
-        self, m: int, pool: concurrent.futures.Executor | None = None
-    ) -> np.ndarray:
+    def heavy_candidates(self, m: int) -> np.ndarray:
         """Indices of the m largest |estimate|, ties broken by lower index.
 
-        Queries all dim coordinates, on the pool's thread too (see
-        estimate_all); at the vector sizes this library targets that is
-        cheaper than maintaining a heap during insertion.
+        Queries all dim coordinates; at the vector sizes this library
+        targets that is cheaper than maintaining a heap during insertion.
         """
-        return top_m(np.abs(self.estimate_all(pool)), m)
+        return top_m(np.abs(self.estimate_all()), m)
 
     def to_bytes(self) -> bytes:
         """Wire format: 4 little-endian u64 (rows, cols, seed, dim), then
@@ -363,29 +294,18 @@ def sketch_vector(config: SketchConfig, vector: np.ndarray) -> CountSketch:
     return CountSketch(config, table.reshape(config.rows, config.cols))
 
 
-def sketch_rows(
-    config: SketchConfig, vectors: np.ndarray, pool: concurrent.futures.Executor | None = None
-) -> np.ndarray:
+def sketch_rows(config: SketchConfig, vectors: np.ndarray) -> np.ndarray:
     """Sketch every row of an (n, dim) matrix with one S @ vectors.T.
 
     Returns the (rows*cols, n) matrix whose column w is the row-major
-    table of row w's sketch. Given a pool, its thread may sketch half of
-    the rows (see _split): each column sums over the coordinates in the
-    same order, so it has the same bits.
+    table of row w's sketch.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != config.dim:
         raise ValueError(f"vectors shape {vectors.shape} does not match (n, {config.dim})")
-    op = _operator(config)
-    out = np.empty((config.size, vectors.shape[0]))
-
-    def part(lo: int, hi: int) -> None:
-        if not np.isfinite(vectors[lo:hi]).all():
-            raise ValueError("vectors must be finite")
-        out[:, lo:hi] = op @ vectors[lo:hi].T
-
-    _split(pool, config.dim * vectors.itemsize, vectors.shape[0], part)
-    return out
+    if not np.isfinite(vectors).all():
+        raise ValueError("vectors must be finite")
+    return _operator(config) @ vectors.T
 
 
 def merge(a: CountSketch, b: CountSketch) -> CountSketch:

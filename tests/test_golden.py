@@ -30,7 +30,7 @@ import sys
 
 import pytest
 
-from sketchgrad import simulation, sketch
+from sketchgrad import simulation
 from sketchgrad.simulation import ProblemSpec, RunConfig, run, write_trace
 
 BASE = {
@@ -104,21 +104,6 @@ def test_subnormal_trace_keeps_its_hash_on_the_lifted_route(monkeypatch, tmp_pat
     monkeypatch.setattr(simulation, "logreg_gradients", recording)
     test_trace_matches_golden_hash(tmp_path, "logreg_subnormal", "dense_amsgrad")
     assert scales == [simulation.LIFT] * BASE["logreg_subnormal"].horizon
-
-
-@pytest.mark.parametrize("problem,variant", sorted(
-    key for key in GOLDEN if key[1] in ("pa", "ga", "sketched_sgd")))
-def test_trace_keeps_its_hash_with_the_step_split_on_every_pass(
-    monkeypatch, late_helpers, tmp_path, problem, variant
-):
-    # with the break-even gate at 0, run's helper thread runs the second
-    # half of every pass of the sketched step at these small shapes: the
-    # workers' state and payload means, the sketch product, the point query
-    # and PA's v_hat copy and check
-    monkeypatch.setattr(sketch, "BREAK_EVEN_BYTES", 0)
-    test_trace_matches_golden_hash(tmp_path, problem, variant)
-    (helper,) = late_helpers
-    assert helper.submits == len(helper.ran_on) >= 3 * BASE[problem].horizon
 
 
 # the `small` preset, 8 workers, a few iterations

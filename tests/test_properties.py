@@ -287,9 +287,11 @@ def test_estimate_all_matches_median_reference(cfg, data):
     assert np.array_equal(bits(singles), bits(sk.estimate_all()))
 
 
-@pytest.mark.parametrize(
-    "bad", [np.zeros(5), np.zeros((2, 4)), np.array([[0.0, 1.0, np.nan, 0.0, 0.0]])]
-)
+@pytest.mark.parametrize("bad", [
+    np.zeros(5), np.zeros((2, 4)), np.array([[0.0, 1.0, np.nan, 0.0, 0.0]]),
+    # the last row's last entry
+    np.array([[0.0] * 5, [1.0] * 4 + [np.inf]]),
+])
 def test_sketch_rows_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         sketch_rows(SketchConfig(rows=2, cols=4, seed=1, dim=5), bad)
@@ -765,8 +767,7 @@ def test_full_batch_logits_have_the_bits_of_x_times_w_t(
     # residual probabilities it hands the workers, its loss and its
     # gradient have the bits of the plain formulas over X @ W.T
     problem, (features, labels) = logreg_for_a_run(n_samples, n_classes, n_features, batch_size)
-    transposed = simulation._splits(n_features * 8, n_samples, simulation.BLAS_TILE,
-                                    simulation.SPLIT_BYTES)
+    transposed = simulation._splits(n_features * 8, n_samples, simulation.BLAS_TILE)
     assert transposed == (n_samples != 1016)
     x = np.random.default_rng(6).standard_normal(n_classes * n_features)
     out = np.empty((2, x.shape[0]))

@@ -11,10 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sketchgrad import simulation, sketch
-from sketchgrad.compressors import ProtocolConfig
-from sketchgrad.optimizers import HyperParams, NumericError, OptimizerState, step
-from sketchgrad.sketch import SketchConfig
+from sketchgrad import simulation
+from sketchgrad.optimizers import NumericError
 from sketchgrad.simulation import (
     GATHER_BUDGET,
     SPLIT_BYTES,
@@ -392,6 +390,25 @@ def each_row_once(horizon, n_workers):
     return [(t, i) for t in range(1, horizon + 1) for i in range(n_workers)]
 
 
+def test_noisy_quadratic_gradient_has_the_same_bits_without_a_pool():
+    # without a pool the caller draws every noise row itself
+    cfg = quad_config(problem=ProblemSpec(kind="quadratic", dim=30, noise_std=1.0), horizon=3)
+    x = np.random.default_rng(1).standard_normal(30)
+
+    def gradients(pool):
+        problem = make_quadratic(30, 5.0, 0, noise_std=1.0, config=cfg)
+        outs = np.empty((cfg.horizon, cfg.n_workers, 30))
+        for t in range(1, cfg.horizon + 1):
+            problem.gradient(x, t, outs[t - 1], pool)
+        return outs
+
+    without = gradients(None)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        with_pool = gradients(pool)
+    assert np.array_equal(without.view(np.uint64), with_pool.view(np.uint64))
+    assert not np.array_equal(without[:, 0], without[:, 1])  # each worker has its noise
+
+
 def test_numeric_error_mid_run_stops_the_noise_helper(helpers, noise_rows):
     # the helper starts on iteration t+1's noise during step t; a run that
     # aborts must not leave it running, and no row is drawn twice
@@ -674,107 +691,71 @@ def test_numeric_error_in_split_products_stops_the_helper(late_helpers):
     assert not any(th.is_alive() for th in helper.ran_on)
 
 
-def test_overflow_in_the_helpers_half_of_a_step_is_a_numeric_error(monkeypatch, late_helpers):
-    # with every pass of the step split, the helper updates PA's variance on
-    # coordinates 10 to 19, where eigenvalues above 1e154 make g * g
-    # overflow at iteration 1. Under run's errstate that is no warning (an
-    # error in this suite), and the run ends at the infinite squared norm
-    # of the full gradient, with the helper's thread stopped
-    monkeypatch.setattr(sketch, "BREAK_EVEN_BYTES", 0)
-    spec = ProblemSpec(kind="quadratic", dim=20, condition_number=1e300, noise_std=0.0)
-    cfg = quad_config(problem=spec, variant="pa", horizon=3, n_workers=2, k=2, p_factor=2,
-                      rows=3, cols=8)
-    with pytest.raises(NumericError, match="non-finite grad_norm_sq at iteration 1"):
-        run(cfg)
-    (helper,) = late_helpers
-    assert helper.submits == len(helper.ran_on) > 0
-    assert all(th is not threading.main_thread() for th in helper.ran_on)
-    assert not any(th.is_alive() for th in helper.ran_on)
-
-
-def special_step_case(variant, rows, n=4, dim=48, seed=0):
-    """A sketched state whose arrays hold both signed zeros, subnormals and
-    entries near the float64 range (PA's and GA's v_hat stay positive), the
-    gradients of three steps with such entries, and their parameters."""
-    rng = np.random.default_rng(seed)
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e200, -1e200])
-
-    def entries(shape):
-        values = rng.standard_normal(shape)
-        pick = rng.random(shape) < 0.3
-        values[pick] = rng.choice(special, np.count_nonzero(pick))
-        return values
-
-    params = HyperParams(alpha=0.05, beta1=0.9, beta2=0.999, epsilon=1e-4, horizon=3,
-                         n_workers=n)
-    cfg = ProtocolConfig(k=4, p_factor=3, sketch=SketchConfig(rows=rows, cols=8, seed=5, dim=dim))
-    state = OptimizerState.initial(variant, entries(dim), params)
-    state.m[...] = entries(state.m.shape)
-    state.e[...] = entries(state.e.shape)
-    if state.v is not None:
-        state.v[...] = np.abs(entries(state.v.shape)) + 5e-324
-        state.v_hat[...] = np.maximum(state.v, np.abs(entries(state.v.shape)))
-    return state, [entries((n, dim)) for _ in range(3)], params, cfg
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-@pytest.mark.parametrize("variant, rows", [("pa", 4), ("ga", 3), ("sketched_sgd", 3)])
 @pytest.mark.parametrize("helper", ["free", "late", "held"])
-def test_split_step_keeps_the_bits_whichever_thread_runs_a_half(
-    monkeypatch, recording_executor, variant, rows, helper
+def test_split_logreg_products_keep_the_bits_whichever_thread_runs_a_half(
+    recording_executor, helper
 ):
-    # with every pass of the step split, the state and diagnostics of three
-    # steps have the bits of the steps without a pool: whether the threads
-    # race, switching every microsecond (free), the helper runs every half
-    # (late), or the helper is held on an Event, so that the caller cancels
-    # every half it handed over and runs it itself, returns within the
-    # timeout, and no cancelled half runs
-    monkeypatch.setattr(sketch, "BREAK_EVEN_BYTES", 0)
-    ref, grads, params, cfg = special_step_case(variant, rows)
-    state = special_step_case(variant, rows)[0]
+    # at the smallest shape whose three products split, the loss, full
+    # gradient and workers' gradients have the bits of the calls without a
+    # pool: whether the threads race, switching every microsecond (free),
+    # the helper runs every half (late), or the helper is held on an Event,
+    # so that the caller cancels every half it handed over and runs it
+    # itself, returns within the timeout, and no cancelled half runs
+    n_samples, n_classes, n_features, batch_size = 1024, 2, 1024, 256
+    dim = n_classes * n_features
+    problem, (features, labels) = make_logreg(n_samples, dim, n_classes, seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(dim)
+    batches = rng.integers(0, n_samples, size=(4, batch_size))
+    ref_loss, ref_grad = problem.evaluate(x)
+    ref = logreg_gradients(features, labels, x, batches, np.empty((4, dim)))
     held = threading.Event()
     interval = sys.getswitchinterval()
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = [step(ref, g, params, cfg, t) for t, g in enumerate(grads, 1)]
-        with recording_executor(1, wait_for_start=helper == "late") as pool:
-            if helper == "held":
-                pool.submit(held.wait, 60)
-            if helper == "free":
-                sys.setswitchinterval(1e-6)
-            try:
-                start = time.monotonic()
-                got = [step(state, g, params, cfg, t, pool) for t, g in enumerate(grads, 1)]
-                elapsed = time.monotonic() - start
-            finally:
-                sys.setswitchinterval(interval)
-                held.set()
-    for name in ("x", "m", "v", "v_hat", "e", "shadow_x"):
-        if getattr(ref, name) is not None:
-            assert same_bits(getattr(state, name), getattr(ref, name)), name
-    assert np.array_equal(state.last_indices, ref.last_indices)
-    assert all(same_bits(dataclasses.astuple(a), dataclasses.astuple(b)) for a, b in zip(got, want))
-    on_helper = [th for th in pool.ran_on if th is not threading.main_thread()]
-    assert on_helper == pool.ran_on
+    with recording_executor(1, wait_for_start=helper == "late") as pool:
+        if helper == "held":
+            pool.submit(held.wait, 60)
+        if helper == "free":
+            sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            loss, grad = problem.evaluate(x, pool=pool)
+            out = logreg_gradients(features, labels, x, batches, np.empty((4, dim)), pool)
+            elapsed = time.monotonic() - start
+        finally:
+            sys.setswitchinterval(interval)
+            held.set()
+    assert loss == ref_loss
+    assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert all(th is not threading.main_thread() for th in pool.ran_on)
     if helper == "late":
-        assert pool.submits == len(pool.ran_on) >= 3 * 3
+        assert pool.submits == len(pool.ran_on) == 3
     if helper == "held":
-        assert elapsed < 30 and pool.submits >= 1 + 3 * 3 and len(pool.ran_on) == 1
+        assert elapsed < 30 and pool.submits == 1 + 3 and len(pool.ran_on) == 1
 
 
 def test_small_logreg_run_submits_nothing_to_the_helper(helpers):
     # the acceptance shape (20 KB of features, 4 KB per (n, dim) array):
-    # splitting its products or a sketched step's passes would cost more
-    # than it saves, so the helper's thread never starts
+    # splitting its products would cost more than it saves, so the helper's
+    # thread never starts
     spec = ProblemSpec(kind="logreg", dim=50, n_samples=500, n_classes=10)
     for variant in ("ga", "pa", "sketched_sgd"):
         cfg = RunConfig(problem=spec, variant=variant, horizon=5, n_workers=10, k=5,
                         p_factor=4, rows=5, cols=25, batch_size=8,
                         partition_mode="label_skew", skew_param=0.1)
         run(cfg)
+    assert len(helpers) == 3
+    assert all(helper.submits == 0 and helper.ran_on == [] for helper in helpers)
+
+
+def test_sketched_step_submits_nothing_to_the_helper(helpers):
+    # a noise-free quadratic gives the helper nothing to draw, and its
+    # sketched steps run every pass whole on run's thread, though each
+    # (n, dim) array holds 2 MiB at dim 32768 with 8 workers
+    spec = ProblemSpec(kind="quadratic", dim=32768, noise_std=0.0)
+    for variant in ("pa", "ga", "sketched_sgd"):
+        run(quad_config(problem=spec, variant=variant, horizon=2, n_workers=8, k=50,
+                        rows=5, cols=400))
     assert len(helpers) == 3
     assert all(helper.submits == 0 and helper.ran_on == [] for helper in helpers)
 

@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from sketchgrad import sketch
 from sketchgrad.sketch import (
     CountSketch,
     IncompatibleSketchError,
@@ -12,7 +11,6 @@ from sketchgrad.sketch import (
     _operator,
     merge,
     scale,
-    sketch_rows,
     sketch_vector,
     top_m,
 )
@@ -256,34 +254,6 @@ def test_estimate_even_rows_uses_middle_mean():
         sk.table.reshape(-1)[cells[0, j]] = signs[0, j] * (1.0 + j)
         readings.append(1.0 + j)
     assert sk.estimate(0) == pytest.approx(np.mean(readings), abs=0)
-
-
-@pytest.mark.parametrize("rows, dim, n", [(5, 101, 7), (4, 60, 8), (1, 3, 2)])
-def test_split_sketch_and_point_query_keep_their_bits(
-    monkeypatch, recording_executor, rows, dim, n
-):
-    # with the break-even gate at 0, the pool's thread sketches the last
-    # n - n // 2 rows and point-queries the last dim - dim // 2 coordinates;
-    # the cells, estimates and candidates have the bits of the calls without
-    # a pool, for odd and even row counts and uneven halves
-    config = SketchConfig(rows=rows, cols=16, seed=9, dim=dim)
-    rng = np.random.default_rng(rows)
-    vectors = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-30.0, 30.0, (n, dim)))
-    vectors[rng.random((n, dim)) < 0.2] *= -0.0
-    cells = sketch_rows(config, vectors)
-    table = CountSketch(config, cells[:, 0].reshape(rows, 16))
-    estimates, candidates = table.estimate_all(), table.heavy_candidates(dim // 2)
-    monkeypatch.setattr(sketch, "BREAK_EVEN_BYTES", 0)
-    with recording_executor(1, wait_for_start=True) as pool:
-        split = (sketch_rows(config, vectors, pool), table.estimate_all(pool),
-                 table.heavy_candidates(dim // 2, pool))
-        bad = vectors.copy()
-        bad[-1, -1] = np.inf  # in the pool's half
-        with pytest.raises(ValueError, match="finite"):
-            sketch_rows(config, bad, pool)
-    assert pool.submits == len(pool.ran_on) == 4
-    for got, want in zip(split, (cells, estimates, candidates)):
-        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_estimate_out_of_range(cfg):
