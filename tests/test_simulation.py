@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sketchgrad import simulation
-from sketchgrad.optimizers import NumericError
+from sketchgrad.optimizers import NumericError, OptimizerState, step
 from sketchgrad.simulation import (
     GATHER_BUDGET,
     SPLIT_BYTES,
@@ -691,24 +691,45 @@ def test_numeric_error_in_split_products_stops_the_helper(late_helpers):
     assert not any(th.is_alive() for th in helper.ran_on)
 
 
+def split_iterations(variant, rows, pool):
+    """Three iterations of run's loop, with its problem, state and step,
+    on the smallest logreg whose three products split (see
+    test_split_logreg_products_match_the_single_thread_path); returns the
+    state and each iteration's diagnostics, loss and full gradient."""
+    spec = ProblemSpec(kind="logreg", n_samples=1024, dim=2048, n_classes=2)
+    cfg = RunConfig(problem=spec, variant=variant, horizon=3, n_workers=4, k=16, p_factor=3,
+                    rows=rows, cols=64, batch_size=256)
+    problem = simulation.build_problem(cfg)
+    params = cfg.hyper()
+    state = OptimizerState.initial(variant, np.zeros(problem.dim), params, track_shadow=True)
+    grads = np.empty((cfg.n_workers, problem.dim))
+    out = []
+    for t in range(1, cfg.horizon + 1):
+        problem.gradient(state.x, t, grads, pool)
+        diag = step(state, grads, params, cfg.protocol(), t)
+        loss, full_grad = problem.evaluate(state.x, pool=pool)
+        out.append((dataclasses.astuple(diag), loss, full_grad))
+    return state, out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant, rows", [("pa", 4), ("ga", 3), ("sketched_sgd", 3)])
 @pytest.mark.parametrize("helper", ["free", "late", "held"])
-def test_split_logreg_products_keep_the_bits_whichever_thread_runs_a_half(
-    recording_executor, helper
+def test_split_step_keeps_the_bits_whichever_thread_runs_a_half(
+    recording_executor, variant, rows, helper
 ):
-    # at the smallest shape whose three products split, the loss, full
-    # gradient and workers' gradients have the bits of the calls without a
-    # pool: whether the threads race, switching every microsecond (free),
-    # the helper runs every half (late), or the helper is held on an Event,
-    # so that the caller cancels every half it handed over and runs it
-    # itself, returns within the timeout, and no cancelled half runs
-    n_samples, n_classes, n_features, batch_size = 1024, 2, 1024, 256
-    dim = n_classes * n_features
-    problem, (features, labels) = make_logreg(n_samples, dim, n_classes, seed=3)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(dim)
-    batches = rng.integers(0, n_samples, size=(4, batch_size))
-    ref_loss, ref_grad = problem.evaluate(x)
-    ref = logreg_gradients(features, labels, x, batches, np.empty((4, dim)))
+    # the sketched step runs whole on run's thread, but the products that
+    # feed it split: the state, diagnostics, losses and full gradients of
+    # three iterations have the bits of the iterations without a pool,
+    # whether the threads race, switching every microsecond (free), the
+    # helper runs every half (late), or the helper is held on an Event, so
+    # that the caller cancels every half it handed over and runs it itself,
+    # returns within the timeout, and no cancelled half runs
+    ref, want = split_iterations(variant, rows, None)
     held = threading.Event()
     interval = sys.getswitchinterval()
     with recording_executor(1, wait_for_start=helper == "late") as pool:
@@ -718,20 +739,24 @@ def test_split_logreg_products_keep_the_bits_whichever_thread_runs_a_half(
             sys.setswitchinterval(1e-6)
         try:
             start = time.monotonic()
-            loss, grad = problem.evaluate(x, pool=pool)
-            out = logreg_gradients(features, labels, x, batches, np.empty((4, dim)), pool)
+            state, got = split_iterations(variant, rows, pool)
             elapsed = time.monotonic() - start
         finally:
             sys.setswitchinterval(interval)
             held.set()
-    assert loss == ref_loss
-    assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    for name in ("x", "m", "v", "v_hat", "e", "shadow_x"):
+        if getattr(ref, name) is not None:
+            assert same_bits(getattr(state, name), getattr(ref, name)), name
+    assert np.array_equal(state.last_indices, ref.last_indices)
+    for (diag, loss, full_grad), (ref_diag, ref_loss, ref_grad) in zip(got, want):
+        assert same_bits(diag, ref_diag) and same_bits(loss, ref_loss)
+        assert same_bits(full_grad, ref_grad)
     assert all(th is not threading.main_thread() for th in pool.ran_on)
+    # three halves handed over per iteration
     if helper == "late":
-        assert pool.submits == len(pool.ran_on) == 3
+        assert pool.submits == len(pool.ran_on) == 3 * 3
     if helper == "held":
-        assert elapsed < 30 and pool.submits == 1 + 3 and len(pool.ran_on) == 1
+        assert elapsed < 30 and pool.submits == 1 + 3 * 3 and len(pool.ran_on) == 1
 
 
 def test_small_logreg_run_submits_nothing_to_the_helper(helpers):
