@@ -5,12 +5,12 @@ Inserting (index, value) adds sign_j(index) * value to cell
 (j, bucket_j(index)) in every row j. The table is linear in the input
 vector, so sketches from different workers can be summed cell-wise and
 the result is the sketch of the summed vector. It is stored as one
-sparse (r*c, dim) operator S with r signed ones per column (Charikar,
-Chen & Farach-Colton 2002), so sketching n vectors is one sparse
-product. A point query returns the median over rows of
-sign_j(i) * table[j, bucket_j(i)], which for random inputs is within
-O(norm(x) / sqrt(c)) of the true coordinate with failure probability
-decaying in r.
+sparse (r*c, dim) CSC operator S with r signed ones per column
+(Charikar, Chen & Farach-Colton 2002), so sketching n vectors is one
+sparse product, run by scipy's compiled CSC kernel. A point query
+returns the median over rows of sign_j(i) * table[j, bucket_j(i)],
+which for random inputs is within O(norm(x) / sqrt(c)) of the true
+coordinate with failure probability decaying in r.
 
 Hashes are derived from (seed, row, index) with a splitmix64-style
 avalanche mixer: every worker that shares the config computes the same
@@ -22,15 +22,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import importlib.machinery
+import importlib.util
 import math
+import os
 import struct
 
 import numpy as np
-from scipy import sparse
 
 _MASK64 = (1 << 64) - 1
 _ROW_SALT = 0x9E3779B97F4A7C15  # golden-ratio increment, salts the row key
 _IDX_SPREAD = 0xC2B2AE3D27D4EB4F  # odd constant spreading small indices
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, loaded from scipy/sparse/ without
+    importing scipy.sparse, whose array-API shim imports numpy.f2py,
+    numpy.testing and numpy.ma. The name must end in _sparsetools."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else []
+    paths = [os.path.join(root, "sparse", "_sparsetools" + suffix)
+             for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in filter(os.path.isfile, paths):
+        loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._sparsetools", path)
+        spec = importlib.util.spec_from_loader(loader.name, loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        return module
+    raise ImportError(f"no scipy/sparse/_sparsetools extension among {paths}")
+
+
+_csc_matvecs = _load_sparsetools().csc_matvecs
 
 
 class IncompatibleSketchError(ValueError):
@@ -97,12 +119,13 @@ def _check_index(config: SketchConfig, index: int) -> None:
 
 
 @lru_cache(maxsize=2)
-def _operator(config: SketchConfig) -> sparse.csc_array:
-    """The sketch as a sparse (rows*cols, dim) CSC matrix S: column i holds
-    sign_j(i) at cell j*cols + bucket_j(i), so its cells ascend and need no
-    sort. S @ x adds each cell's terms in ascending coordinate order from
-    0.0, as a loop of accumulate() does. Cached per config so the workers
-    of one simulated cluster share it."""
+def _operator(config: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only CSC arrays (data, indices, indptr) of the sparse
+    (rows*cols, dim) matrix S: column i holds sign_j(i) at cell
+    j*cols + bucket_j(i), so its cells ascend and need no sort. S @ x adds
+    each cell's terms in ascending coordinate order from 0.0, as a loop of
+    accumulate() does. Cached per config so the workers of one simulated
+    cluster share it."""
     rows, cols, dim = config.rows, config.cols, config.dim
     idx_dtype = np.int32 if max(rows * dim, config.size) < 2**31 else np.int64
     spread = np.arange(1, dim + 1, dtype=np.uint64)
@@ -121,17 +144,16 @@ def _operator(config: SketchConfig) -> sparse.csc_array:
         h %= np.uint64(cols)
         np.add(h, np.uint64(j * cols), out=cells[:, j], casting="unsafe")
     indptr = np.arange(0, rows * dim + 1, rows, dtype=idx_dtype)
-    op = sparse.csc_array((signs.ravel(), cells.ravel(), indptr), shape=(config.size, dim))
-    for arr in (op.data, op.indices, op.indptr):
+    for arr in (signs, cells, indptr):
         arr.setflags(write=False)
-    return op
+    return signs.ravel(), cells.ravel(), indptr
 
 
 def _cells(config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:
     """(dim, rows) views of S's flat cell indices and signs."""
-    op = _operator(config)
+    data, indices, _ = _operator(config)
     shape = (config.dim, config.rows)
-    return op.indices.reshape(shape), op.data.reshape(shape)
+    return indices.reshape(shape), data.reshape(shape)
 
 
 def top_m(scores: np.ndarray, m: int) -> np.ndarray:
@@ -295,17 +317,25 @@ def sketch_vector(config: SketchConfig, vector: np.ndarray) -> CountSketch:
 
 
 def sketch_rows(config: SketchConfig, vectors: np.ndarray) -> np.ndarray:
-    """Sketch every row of an (n, dim) matrix with one S @ vectors.T.
+    """Sketch every row of an (n, dim) matrix with one S @ vectors.T, the
+    kernel call scipy's csc_array product makes, so with its bits.
 
     Returns the (rows*cols, n) matrix whose column w is the row-major
-    table of row w's sketch.
+    table of row w's sketch; cells of a finite input may overflow to
+    +/-inf. Only a non-finite product scans the input: each non-finite
+    coordinate leaves its rows cells non-finite, as the signs are +/-1.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != config.dim:
         raise ValueError(f"vectors shape {vectors.shape} does not match (n, {config.dim})")
-    if not np.isfinite(vectors).all():
+    data, indices, indptr = _operator(config)
+    n = vectors.shape[0]
+    out = np.zeros((config.size, n))
+    _csc_matvecs(config.size, config.dim, n, indptr, indices, data,
+                 np.ascontiguousarray(vectors.T).ravel(), out.ravel())
+    if not np.isfinite(out).all() and not np.isfinite(vectors).all():
         raise ValueError("vectors must be finite")
-    return _operator(config) @ vectors.T
+    return out
 
 
 def merge(a: CountSketch, b: CountSketch) -> CountSketch:

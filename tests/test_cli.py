@@ -668,6 +668,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout == "[]\n"
 
 
+def test_sketched_run_and_compare_leave_scipy_unloaded(tmp_path):
+    # the sketch runs scipy's compiled CSC kernel, loaded from its file:
+    # scipy.sparse's array-API shim would import numpy.f2py, numpy.testing
+    # and numpy.ma into every command, about 150 ms and 14 MB
+    import sketchgrad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = write_config(tmp_path / "c.json", small_quadratic(horizon=3))
+    code = (
+        "import sys, sketchgrad.cli as cli\n"
+        f"assert cli.main(['run', {cfg!r}, '-o', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert cli.main(['compare', {cfg!r}, '--variants', 'pa,ga,sketched_sgd',"
+        f" '-o', {str(tmp_path / 'cmp')!r}]) == 0\n"
+        "print([m for m in ('scipy', 'scipy.sparse', 'numpy.f2py') if m in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_verify_reports_failure_exit(monkeypatch):
     from sketchgrad import verification
 

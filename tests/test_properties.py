@@ -8,13 +8,16 @@ accumulate(), a worker-order sum of per-worker sketches, a loop over
 the rows, np.median over the rows, the loss alone and the blocked
 minibatch gradient over the whole dataset as one batch, the logistic
 regression formulas with a row-wise max, a 2-d label index and np.mean,
-the workers' own probabilities, and numpy's own SeedSequence, PCG64 and
-default_rng.
+the workers' own probabilities, numpy's own SeedSequence, PCG64 and
+default_rng, and scipy's csc_array product.
 """
 
 import concurrent.futures
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchgrad import simulation
+from sketchgrad import sketch as sketch_module
 from sketchgrad.compressors import ProtocolConfig, _merged_sketch, sequential_mean
 from sketchgrad.simulation import (
     ProblemSpec,
@@ -40,6 +44,7 @@ from sketchgrad.sketch import (
     SketchConfig,
     _cells,
     _median_of_rows,
+    _operator,
     sketch_rows,
     sketch_vector,
     top_m,
@@ -295,6 +300,86 @@ def test_estimate_all_matches_median_reference(cfg, data):
 def test_sketch_rows_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         sketch_rows(SketchConfig(rows=2, cols=4, seed=1, dim=5), bad)
+
+
+def test_sketch_rows_returns_overflowed_cells_of_a_finite_input():
+    # only a non-finite input is rejected: a finite one whose cells
+    # overflow gives +/-inf cells, as the product always did
+    cfg = SketchConfig(rows=2, cols=1, seed=1, dim=4)
+    _, signs = _cells(cfg)
+    out = sketch_rows(cfg, 1e308 * signs[None, :, 0])
+    assert out[0, 0] == np.inf and not np.isnan(out).any()
+
+
+# signed zeros, subnormals, large magnitudes and ones whose sums overflow
+kernel_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e308, -1e308]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@SETTINGS
+@given(
+    st.builds(
+        SketchConfig,
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        dim=st.integers(1, 40),
+    ),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_sketch_rows_has_the_bits_of_scipys_csc_product(cfg, n, data):
+    # scipy.sparse is the reference here only; the package runs its kernel
+    # without importing it
+    from scipy import sparse
+
+    entries = data.draw(st.lists(kernel_values, min_size=n * cfg.dim, max_size=n * cfg.dim))
+    W = np.array(entries).reshape(n, cfg.dim)
+    signs, cells, indptr = _operator(cfg)
+    ref = sparse.csc_array((signs, cells, indptr), shape=(cfg.size, cfg.dim)) @ W.T
+    assert np.array_equal(bits(sketch_rows(cfg, W)), bits(ref))
+    # the int64 indices of configs past 2**31 cells, which no test can build
+    wide = (signs, cells.astype(np.int64), indptr.astype(np.int64))
+    with mock.patch.object(sketch_module, "_operator", lambda config: wide):
+        assert np.array_equal(bits(sketch_rows(cfg, W)), bits(ref))
+
+
+def test_scipy_sparse_imports_after_the_kernel_and_agrees_with_it():
+    import sketchgrad
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sketchgrad.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, numpy as np\n"
+        "from sketchgrad.sketch import SketchConfig, _operator, sketch_rows\n"
+        "cfg = SketchConfig(rows=3, cols=11, seed=5, dim=300)\n"
+        "W = np.random.default_rng(0).standard_normal((4, 300))\n"
+        "out = sketch_rows(cfg, W)\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "from scipy import sparse\n"
+        "ref = sparse.csc_array(_operator(cfg), shape=(cfg.size, cfg.dim)) @ W.T\n"
+        "print(out.tobytes() == ref.tobytes())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "True\n"
+
+
+def test_missing_kernel_file_is_an_import_error_naming_the_path(monkeypatch):
+    monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"sparse.+_sparsetools\.missing\.so"):
+        sketch_module._load_sparsetools()
+
+
+def test_cached_operator_stays_read_only():
+    # every run of a process shares the cached arrays, _run_all's threads too
+    cfg = SketchConfig(rows=3, cols=5, seed=2, dim=7)
+    assert not any(a.flags.writeable for a in _operator(cfg))
+    for view in _cells(cfg):
+        with pytest.raises(ValueError):
+            view[0, 0] = 0
 
 
 def assert_evaluate_is_loss_and_gradient(problem, x, full):
