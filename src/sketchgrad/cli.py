@@ -148,9 +148,7 @@ def _check_type(name: str, value, kind: str):
     """Return the value, as a float for a float kind, after rejecting one
     whose JSON type does not fit kind, a field's annotation text; a bool
     is not a number here, though Python counts it as one."""
-    types = _JSON_TYPES.get(kind)
-    if types is None:
-        return value
+    types = _JSON_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise ConfigError(f"'{name}' must be of type {kind}, got {value!r}")
     if kind != "float":

@@ -400,9 +400,7 @@ def make_logreg(
             # the row sum's pairwise order needs the rows contiguous
             logits = np.ascontiguousarray(logits_t.T)
         else:
-            logits = np.empty((n_samples, n_classes))
-            _split(pool, n_features * 8, n_samples,
-                   lambda lo, hi: np.matmul(features[lo:hi], w.T, out=logits[lo:hi]), BLAS_TILE)
+            logits = np.matmul(features, w.T)
             _shift_by_row_max(logits)
         exps = np.exp(logits)
         sums = exps.sum(axis=1)
@@ -587,6 +585,11 @@ class RunConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self.hyper()
+        # each stream's SeedSequence([seed, t, i]) takes t and i as one
+        # uint32 word each, and 2**32 of either is past what a run can hold
+        if self.horizon >= 2**32 or self.n_workers >= 2**32:
+            raise ValueError(f"horizon and n_workers must be below 2**32, "
+                             f"got {self.horizon} and {self.n_workers}")
         if self.variant in SKETCHED:
             self.protocol()
             check_elements("the workers' sketches, rows * cols by n_workers",
@@ -651,9 +654,11 @@ def _int_words(value: int) -> list[int]:
 def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
     """SeedSequence(words).generate_state(4, np.uint64) for each lane of the
     uint32 lane arrays in entropy, one array per entropy word, as numpy's
-    hash computes it word by word. Every hash constant depends only on how
-    many hashes came before it, so it is one Python int shared by all lanes;
-    uint32 array products wrap as numpy's uint32_t arithmetic does."""
+    hash computes it word by word. The entropy is 3 or 4 words, a seed below
+    2**63 and one word each for t and i, so it fits the pool. Every hash
+    constant depends only on how many hashes came before it, so it is one
+    Python int shared by all lanes; uint32 array products wrap as numpy's
+    uint32_t arithmetic does."""
     const, mult = _INIT_A, _MULT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -676,9 +681,6 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
         for dst in range(_POOL_WORDS):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
     const, mult = _INIT_B, _MULT_B
     state = np.empty((zero.shape[0], 2 * _POOL_WORDS), dtype="<u4")
     for j in range(2 * _POOL_WORDS):
@@ -689,24 +691,11 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
 def _stream_words(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
     """The (lanes, 4) uint64 array whose row j is
     SeedSequence([seed, t[j], i[j]]).generate_state(4, np.uint64), the words
-    that seed worker i[j]'s stream for iteration t[j]; t and i are uint64
-    lane arrays. SeedSequence takes each integer as its uint32 words, so the
-    lanes are hashed in groups of one entropy layout: by whether t and i
-    reach 2**32."""
-    words = np.empty((t.shape[0], 4), dtype=np.uint64)
-    seed_words = _int_words(seed)
-    for wide_t in (False, True):
-        for wide_i in (False, True):
-            lanes = ((t > _M32) == wide_t) & ((i > _M32) == wide_i)
-            if not lanes.any():
-                continue
-            entropy = [np.full(np.count_nonzero(lanes), w, dtype=np.uint32) for w in seed_words]
-            for values, wide in ((t[lanes], wide_t), (i[lanes], wide_i)):
-                entropy.append((values & _M32).astype(np.uint32))
-                if wide:
-                    entropy.append((values >> 32).astype(np.uint32))
-            words[lanes] = _seed_sequence_state(entropy)
-    return words
+    that seed worker i[j]'s stream for iteration t[j]; t and i are lane
+    arrays of values below 2**32 (see RunConfig), so SeedSequence takes
+    each as one uint32 word."""
+    seed_words = [np.full(t.shape[0], w, dtype=np.uint32) for w in _int_words(seed)]
+    return _seed_sequence_state([*seed_words, t.astype(np.uint32), i.astype(np.uint32)])
 
 
 def _word_blocks(seed: int, horizon: int, n: int) -> Iterator[np.ndarray]:

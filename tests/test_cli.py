@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sketchgrad import cli
+from sketchgrad import cli, simulation
 from sketchgrad.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -85,6 +85,26 @@ def test_resolve_requires_problem():
         parse_config({"variant": "ga"})
     with pytest.raises(ConfigError, match="kind"):
         parse_config({"problem": {"dim": 5}})
+
+
+def test_every_config_annotation_has_a_json_type():
+    # _check_type indexes _JSON_TYPES by a field's annotation text, so a
+    # field whose annotation is no key must fail here, not skip its check
+    kinds = {f.name: f.type for cls in (ProblemSpec, RunConfig)
+             for f in dataclasses.fields(cls) if f.name != "problem"}
+    kinds.update({f"sweep.{key}": kind for key, kind in cli._SWEEP_KEYS.items()})
+    assert {name: kind for name, kind in kinds.items() if kind not in cli._JSON_TYPES} == {}
+
+
+def test_horizon_and_n_workers_take_one_uint32_word():
+    # each enters a stream's SeedSequence([seed, t, i]) as one uint32 word
+    base = {"problem": {"kind": "quadratic", "dim": 20}, "k": 2, "p_factor": 2,
+            "rows": 3, "cols": 8}
+    for field in ("horizon", "n_workers"):
+        config, _ = parse_config({**base, field: 2**32 - 1})
+        assert getattr(config, field) == 2**32 - 1
+        with pytest.raises(ConfigError, match=r"below 2\*\*32"):
+            parse_config({**base, field: 2**32})
 
 
 def test_resolve_preset_and_roundtrip():
@@ -373,6 +393,38 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         assert not (out / "trace.csv").exists()
 
 
+def _halve_v_hat(state):
+    state.v_hat *= 0.5
+
+
+def _leave_error_on_chosen_set(state):
+    state.e[:, state.last_indices[0]] = 1.0
+
+
+@pytest.mark.parametrize("plant, detail", [
+    (_halve_v_hat, "v_hat decreased at iteration 2"),
+    (_leave_error_on_chosen_set, "error not zero on chosen set at iteration 2"),
+], ids=["v_hat", "error"])
+def test_broken_step_invariant_is_invariant_error(tmp_path, capsys, monkeypatch, plant, detail):
+    # no correct step breaks these checks, so a wrapped step breaks one
+    # after step 2 of a GA run; run looks step up at call time
+    honest = simulation.step
+
+    def broken(state, grads, params, proto, t):
+        diag = honest(state, grads, params, proto, t)
+        if t == 2:
+            plant(state)
+        return diag
+
+    monkeypatch.setattr(simulation, "step", broken)
+    cfg = write_config(tmp_path / "c.json", small_quadratic())
+    out = tmp_path / "out"
+    assert main(["run", cfg, "-o", str(out)]) == EXIT_INVARIANT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "invariant", "detail": detail}
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -458,6 +510,19 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys, flags):
         # 1/sqrt(batch_size) past a float's range
         {"problem": {"kind": "quadratic", "dim": 20}, "horizon": 10**400},
         {"problem": {"kind": "quadratic", "dim": 20}, "batch_size": 10**400},
+        # a malformed sweep block and values below their ranges
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": [1]},
+        {"problem": {"kind": "quadratic", "dim": 20}, "sweep": {"worker_counts": [1]}},
+        {"problem": {"kind": "quadratic", "dim": 20}, "batch_size": 0},
+        {"problem": {"kind": "quadratic", "dim": 20}, "horizon": -1},
+        # reaches ProtocolConfig's check, where dense_sgd's reaches RunConfig's
+        {"problem": {"kind": "quadratic", "dim": 20}, "variant": "ga", "p_factor": 0},
+        # 2**32 iterations or workers, past the one uint32 word each takes
+        # in a stream's seed; each once parsed and started a run
+        {"problem": {"kind": "quadratic", "dim": 20}, "horizon": 2**32},
+        {"problem": {"kind": "quadratic", "dim": 20}, "n_workers": 2**32},
+        {"problem": {"kind": "quadratic", "dim": 20},
+         "sweep": {"worker_counts": [1, 2**32], "threshold": 1.0}},
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, body):
@@ -467,6 +532,24 @@ def test_malformed_config_is_config_error(tmp_path, capsys, body):
     assert main(["run", cfg, "-o", str(out)]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing_file", "array_root", "no_variant"])
+def test_unreadable_config_or_no_variant_is_config_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "_run_all", _no_run)
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    args = ["run", str(cfg), "-o", str(out)]
+    if case == "array_root":
+        cfg.write_text("[1, 2]")
+    elif case == "no_variant":
+        write_config(cfg, small_quadratic())
+        args = ["compare", str(cfg), "--variants", ",", "-o", str(out)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -31,6 +31,8 @@ def test_sparse_update_validation():
         SparseUpdate(dim=5, indices=[0], values=[float("nan")])
     with pytest.raises(ValueError):
         SparseUpdate(dim=5, indices=[0, 1], values=[1.0])
+    with pytest.raises(ValueError, match="more entries than dim"):
+        SparseUpdate(dim=2, indices=[0, 1, 2], values=[1.0, 2.0, 3.0])
 
 
 def test_densify():

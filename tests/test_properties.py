@@ -866,18 +866,18 @@ def test_full_batch_logits_have_the_bits_of_x_times_w_t(
     assert_same_bits_or_nan(grad, want_grad)
 
 
-# iterations and worker indices on both sides of 2**32, where SeedSequence
-# takes an integer as two uint32 words in place of one
-iterations = st.one_of(st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
-workers = st.one_of(st.integers(0, 64), st.integers(2**32, 2**64 - 1))
+# iterations and worker indices up to 2**32 - 1, the most RunConfig takes,
+# each one uint32 word of SeedSequence's entropy
+iterations = st.integers(1, 2**32 - 1)
+workers = st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1))
 
 
 @SETTINGS
 @given(st.integers(0, 2**63 - 1), st.lists(st.tuples(iterations, workers), min_size=1, max_size=6))
-@example(0, [(1, 0), (2**32 - 1, 3), (2**32, 9)])
-@example(2**32 - 1, [(2**32 - 1, 0), (2**32, 1)])
-@example(2**32, [(2**32 - 1, 0), (2**32, 1), (5, 2**32)])  # entropy of 4, 5 and 5 words
-@example(2**63 - 1, [(2**32 - 1, 0), (2**32, 2**64 - 1)])  # 6 words
+@example(0, [(1, 0), (2**32 - 1, 3)])
+@example(2**32 - 1, [(2**32 - 1, 0)])
+@example(2**32, [(2**32 - 1, 0)])  # a two-word seed: entropy of 4 words
+@example(2**63 - 1, [(2**32 - 1, 0), (1, 2**32 - 1)])
 def test_stream_words_match_numpy_seed_sequence(seed, lanes):
     t_lanes = np.array([t for t, _ in lanes], dtype=np.uint64)
     i_lanes = np.array([i for _, i in lanes], dtype=np.uint64)
@@ -911,8 +911,8 @@ shard_sizes = st.one_of(
     st.lists(st.tuples(iterations, workers, shard_sizes), min_size=1, max_size=6),
     st.sampled_from([1, 2, 3, 8, 33]),  # an odd b leaves half an output unused
 )
-@example(11, [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 50), (2**32, 4, 2**31 + 1),
-              (2, 2**32, 2**32 - 1), (3, 5, 2**32), (2**64 - 1, 6, 2**32 + 5)], 33)
+@example(11, [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 50), (2**32 - 1, 4, 2**31 + 1),
+              (2, 2**32 - 1, 2**32 - 1), (3, 5, 2**32), (2**32 - 1, 6, 2**32 + 5)], 33)
 @example(0, [(t, i, 50) for t in (1, 2) for i in range(10)], 8)  # accept-d50's shape
 def test_bounded_draws_match_numpy_integers(seed, lanes, b):
     t_lanes = np.array([t for t, _, _ in lanes], dtype=np.uint64)
