@@ -69,40 +69,37 @@ SPLIT_BYTES = 4 << 20
 BLAS_TILE = 8
 
 
-def _split(pool: concurrent.futures.Executor | None, unit_bytes: int, n: int,
-           part: Callable[[int, int], object], step: int = 1) -> None:
-    """Call part(lo, hi) over the range [0, n) of a product's units (rows,
-    columns or workers), each reading unit_bytes of features. With mid the
-    largest multiple of step up to n // 2, when there is a pool and
-    _splits(unit_bytes, n, step), the pool's thread is handed [mid, n) while
-    this thread runs [0, mid); the call returns once both halves are done.
-    A half the pool's thread has not started by then is cancelled and run
-    on this thread, so a busy pool costs the call nothing but the submit.
-    The pool's half runs in a copy of this thread's context, so under its
-    numpy errstate. An exception in a half is raised here, this thread's
-    first. Each element of a product still comes whole from one
-    ``np.matmul`` call over the same reduction and, with OpenBLAS at one
-    thread, from the same kernel (see SPLIT_BYTES), so it has the same bits
-    as without a pool."""
-    if pool is None or not _splits(unit_bytes, n, step):
-        part(0, n)
-        return
+def _split(pool: concurrent.futures.Executor | None, n: int,
+           part: Callable[[int, int], object], step: int = 1) -> list:
+    """Call part(lo, hi) over the range [0, n) of a job's units (a
+    product's rows, columns or workers, or Monte-Carlo trials) and return
+    the list of its results, one per call in range order. With mid the
+    largest multiple of step up to n // 2, when there is a pool and mid > 0,
+    the pool's thread is handed [mid, n) while this thread runs [0, mid);
+    the call returns once both halves are done. A half the pool's thread
+    has not started by then is cancelled and run on this thread, so a busy
+    pool costs the call nothing but the submit. The pool's half runs in a
+    copy of this thread's context, so under its numpy errstate. An
+    exception in a half is raised here, this thread's first. A product's
+    caller passes a pool only when _splits: each element then still comes
+    whole from one ``np.matmul`` call over the same reduction and, with
+    OpenBLAS at one thread, from the same kernel (see SPLIT_BYTES), so it
+    has the same bits as without a pool."""
     mid = n // 2 // step * step
+    if pool is None or mid == 0:
+        return [part(0, n)]
     half = pool.submit(contextvars.copy_context().run, part, mid, n)
     try:
-        part(0, mid)
+        first = part(0, mid)
     finally:
         if not half.cancel():
             concurrent.futures.wait([half])
-    if half.cancelled():
-        part(mid, n)
-    else:
-        half.result()
+    return [first, part(mid, n) if half.cancelled() else half.result()]
 
 
 def _splits(unit_bytes: int, n: int, step: int = 1) -> bool:
-    """Whether _split, given a pool, splits a product of n units of
-    unit_bytes: n is a multiple of step and its first half reads at least
+    """Whether a product of n units of unit_bytes of features splits: n is
+    a multiple of step and the first half _split makes reads at least
     SPLIT_BYTES."""
     return n % step == 0 and n // 2 // step * step * unit_bytes >= SPLIT_BYTES
 
@@ -317,7 +314,7 @@ def logreg_gradients(
                 out=out[lo : lo + m].reshape(m, n_classes, n_features),
             )
 
-    _split(pool, b * n_features * 8, n, workers)
+    _split(pool if _splits(b * n_features * 8, n) else None, n, workers)
     out /= b
     return out
 
@@ -374,9 +371,12 @@ def make_logreg(
 
     # each sample's label entry in the flat (n_samples * n_classes) logits
     label_entries = np.arange(n_samples) * n_classes + labels
-    # above the logits' split gate every half is over GEMM_MIN_MACS, and
-    # there W @ X.T, the faster orientation, has the bits of X @ W.T
+    # the logits split exactly when transposed: above that gate every half
+    # is over GEMM_MIN_MACS, and there W @ X.T, the faster orientation, has
+    # the bits of X @ W.T
     transposed = _splits(n_features * 8, n_samples, BLAS_TILE)
+    # the full-batch gradient's gate, by whole tiles of feature columns
+    columns_split = _splits(n_samples * 8, n_features, BLAS_TILE)
     # the workers reuse evaluate's residual probabilities (see Problem)
     reuse = config is not None and (
         min(config.batch_size, n_samples) * n_features * n_classes > GEMM_MIN_MACS)
@@ -392,7 +392,7 @@ def make_logreg(
             w = w * factor
         if transposed:
             logits_t = np.empty((n_classes, n_samples))
-            _split(pool, n_features * 8, n_samples,
+            _split(pool, n_samples,
                    lambda lo, hi: np.matmul(w, features[lo:hi].T, out=logits_t[:, lo:hi]),
                    BLAS_TILE)
             # _shift_by_row_max's max, without its transposed copy
@@ -412,7 +412,7 @@ def make_logreg(
             last = np.array(x, dtype=np.float64).view(np.uint64), probs
         lifted = probs * factor if factor != 1.0 else probs  # last keeps probs as they are
         grad = np.empty((n_classes, n_features))
-        _split(pool, n_samples * 8, n_features,
+        _split(pool if columns_split else None, n_features,
                lambda lo, hi: np.matmul(lifted.T, features[:, lo:hi], out=grad[:, lo:hi]),
                BLAS_TILE)
         grad /= n_samples

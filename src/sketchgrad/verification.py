@@ -8,6 +8,7 @@ line and the test suite cannot drift apart.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .compressors import (
 )
 from .optimizers import HyperParams, OptimizerState, step, step_size
 from .sketch import CountSketch, SketchConfig, _cells, merge, sketch_vector, top_m
-from .simulation import ProblemSpec, RunConfig, run
+from .simulation import ProblemSpec, RunConfig, _split, run
 
 DELTA = 0.05  # failure-probability budget shared by the probabilistic checks
 # the reference sketch shape: dimension, rows and columns
@@ -57,13 +58,22 @@ def _planted_vectors(
     return base + 0.5 * rng.standard_normal((n_workers, dim))
 
 
+def _trial_counts(pool, trials: int, trial) -> tuple[int, ...]:
+    """The sums over trials t in [0, trials) of trial(t)'s tuple of
+    outcomes (bools or ints), half of the trials on the pool's thread, if
+    given (see _split). Each trial seeds its own generator by t and integer
+    sums are exact, so the counts do not depend on the split."""
+    halves = _split(pool, trials, lambda lo, hi: [trial(t) for t in range(lo, hi)])
+    return tuple(int(sum(col)) for col in zip(*(out for half in halves for out in half)))
+
+
 # ---------------------------------------------------------------- sketch
 
 
-def point_query_failure_rates(seed: int, trials: int = 500) -> tuple[float, float]:
+def point_query_failure_rates(seed: int, trials: int = 500, pool=None) -> tuple[float, float]:
     """Monte-Carlo failure rates of the point-query guarantees on random
     Gaussian vectors at the reference shape, one queried coordinate per
-    trial.
+    trial, half of the trials on the pool's thread, if given.
 
     Returns (amplitude rate, squared rate): the amplitude form tests
     |est - x_i| <= eps*norm2(x) with eps = 60/c (the Theta(1/eps) column
@@ -72,8 +82,8 @@ def point_query_failure_rates(seed: int, trials: int = 500) -> tuple[float, floa
     """
     eps_amp = 60.0 / REF_COLS
     eps_sq = 3.0 / REF_COLS
-    fails_amp = fails_sq = 0
-    for trial in range(trials):
+
+    def failures(trial: int) -> tuple[bool, bool]:
         trng = np.random.default_rng([seed, 17, trial])
         x = trng.standard_normal(REF_DIM)
         cfg = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(trng.integers(1 << 62)),
@@ -82,11 +92,31 @@ def point_query_failure_rates(seed: int, trials: int = 500) -> tuple[float, floa
         i = int(trng.integers(REF_DIM))
         est = sk.estimate(i)
         nrm2 = float(np.dot(x, x))
-        if abs(est - x[i]) > eps_amp * math.sqrt(nrm2):
-            fails_amp += 1
-        if abs(est * est - x[i] * x[i]) > eps_sq * nrm2:
-            fails_sq += 1
+        return (abs(est - x[i]) > eps_amp * math.sqrt(nrm2),
+                abs(est * est - x[i] * x[i]) > eps_sq * nrm2)
+
+    fails_amp, fails_sq = _trial_counts(pool, trials, failures)
     return fails_amp / trials, fails_sq / trials
+
+
+def planted_recovery_rate(seed: int, trials: int = 200, pool=None) -> float:
+    """Share of trials whose 10 planted heavy coordinates are all among the
+    sketch's top 20 candidates, half of the trials on the pool's thread, if
+    given. The heavies sit at >= 10 so they clear the l2-tail noise floor
+    norm2(x)/sqrt(c) that the point-query guarantee allows."""
+
+    def recovered(trial: int) -> tuple[bool]:
+        trng = np.random.default_rng([seed, 23, trial])
+        base = trng.standard_normal(REF_DIM)
+        support = trng.choice(REF_DIM, size=10, replace=False)
+        base[support] = trng.uniform(10, 20, 10) * trng.choice([-1.0, 1.0], 10)
+        cfg = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(trng.integers(1 << 62)),
+                           dim=REF_DIM)
+        cand = sketch_vector(cfg, base).heavy_candidates(20)
+        return (np.isin(support, cand).all(),)
+
+    (count,) = _trial_counts(pool, trials, recovered)
+    return count / trials
 
 
 def bucket_uniformity(seed: int) -> tuple[float, float]:
@@ -150,9 +180,13 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
     err = float(np.max(np.abs(merged.table - direct))) / scale_ref
     results.append(CheckResult("sketch", "merge_equals_sum", err <= 1e-12, err, 1e-12))
 
-    # point queries on random gaussian vectors at the reference shape
+    # point queries on random gaussian vectors at the reference shape, and
+    # planted heavy coordinates recovered among the top candidates
     trials = 500
-    rate_amp, rate_sq = point_query_failure_rates(seed, trials=trials)
+    trials_rec = 200
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        rate_amp, rate_sq = point_query_failure_rates(seed, trials, pool)
+        rate_rec = planted_recovery_rate(seed, trials_rec, pool)
     results.append(
         CheckResult("sketch", "point_query_amplitude", rate_amp <= DELTA,
                     rate_amp, DELTA, f"eps = 60/c over {trials} trials")
@@ -162,24 +196,9 @@ def sketch_suite(seed: int = 0) -> list[CheckResult]:
                     rate_sq, DELTA, "|est^2 - x_i^2| <= (3/c)*norm2(x)^2")
     )
 
-    # planted heavy coordinates are recovered among the top candidates;
-    # heavies sit at >= 10 so they clear the l2-tail noise floor
-    # norm2(x)/sqrt(c) that the point-query guarantee allows
-    recovered = 0
-    trials_rec = 200
-    for trial in range(trials_rec):
-        trng = np.random.default_rng([seed, 23, trial])
-        base = trng.standard_normal(REF_DIM)
-        support = trng.choice(REF_DIM, size=10, replace=False)
-        base[support] = trng.uniform(10, 20, 10) * trng.choice([-1.0, 1.0], 10)
-        cfg_p = SketchConfig(rows=REF_ROWS, cols=REF_COLS, seed=int(trng.integers(1 << 62)),
-                             dim=REF_DIM)
-        cand = sketch_vector(cfg_p, base).heavy_candidates(20)
-        if np.isin(support, cand).all():
-            recovered += 1
     results.append(
-        CheckResult("sketch", "planted_recovery", recovered / trials_rec >= 1 - DELTA,
-                    recovered / trials_rec, 1 - DELTA, "10 planted, m=20")
+        CheckResult("sketch", "planted_recovery", rate_rec >= 1 - DELTA,
+                    rate_rec, 1 - DELTA, "10 planted, m=20")
     )
     return results
 
@@ -216,15 +235,14 @@ def _contraction_trial(
     return lemma, safety, consistent
 
 
-def contraction_check(seed: int, trials: int = 500, scaled: bool = False) -> tuple[float, float, float]:
+def contraction_check(
+    seed: int, trials: int = 500, scaled: bool = False, pool=None
+) -> tuple[float, float, float]:
     """Frequencies of (lemma contraction, unconditional safety, exact
-    mean consistency) over seeded planted-support aggregation trials."""
-    lemma = safety = consistent = 0
-    for trial in range(trials):
-        ok_l, ok_s, ok_c = _contraction_trial(trial, seed, scaled)
-        lemma += ok_l
-        safety += ok_s
-        consistent += ok_c
+    mean consistency) over seeded planted-support aggregation trials, half
+    of them on the pool's thread, if given."""
+    lemma, safety, consistent = _trial_counts(
+        pool, trials, lambda trial: _contraction_trial(trial, seed, scaled))
     return lemma / trials, safety / trials, consistent / trials
 
 
@@ -256,8 +274,11 @@ def compressor_suite(seed: int = 0) -> list[CheckResult]:
                                float(violations), 0.0))
 
     # lemma contraction + unconditional safety + mean consistency, raw space
+    # and through the v_hat-scaled route
     trials = 500
-    lemma, safety, consistent = contraction_check(seed, trials=trials, scaled=False)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        lemma, safety, consistent = contraction_check(seed, trials, False, pool)
+        lemma_s, safety_s, _ = contraction_check(seed, 200, True, pool)
     results.append(
         CheckResult("compressor", "contraction_lemma", lemma >= 1 - DELTA, lemma, 1 - DELTA,
                     f"{trials} planted trials, d=10^4 k=100")
@@ -269,8 +290,6 @@ def compressor_suite(seed: int = 0) -> list[CheckResult]:
         CheckResult("compressor", "mean_consistency", consistent == 1.0, consistent, 1.0)
     )
 
-    # same properties through the v_hat-scaled route
-    lemma_s, safety_s, _ = contraction_check(seed, trials=200, scaled=True)
     results.append(
         CheckResult("compressor", "contraction_lemma_scaled", lemma_s >= 1 - DELTA,
                     lemma_s, 1 - DELTA, "log-uniform v_hat")

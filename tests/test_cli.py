@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -721,6 +722,68 @@ def test_verify_all_within_runtime_budget(capsys):
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
     assert rc == EXIT_OK and not failed, failed
     assert elapsed < 120.0
+
+
+def split_loops():
+    """verify's Monte-Carlo loops that hand half of their trials to a pool."""
+    from sketchgrad import verification
+
+    return {
+        "point_query": verification.point_query_failure_rates,
+        "planted_recovery": verification.planted_recovery_rate,
+        "contraction": lambda seed, trials, pool: verification.contraction_check(
+            seed, trials, False, pool),
+        "contraction_scaled": lambda seed, trials, pool: verification.contraction_check(
+            seed, trials, True, pool),
+    }
+
+
+@pytest.mark.parametrize("loop", sorted(split_loops()))
+@pytest.mark.parametrize("helper", ["pool", "late"])
+def test_split_trial_loops_count_as_the_serial_loop(recording_executor, loop, helper):
+    # each trial is seeded by (seed, trial) and the halves' integer counts
+    # add exactly, so the rates are the serial loop's; the late helper runs
+    # every half it is handed
+    check = split_loops()[loop]
+    for seed in (0, 54):
+        for trials in (1, 2, 7, 60):
+            serial = check(seed, trials, None)
+            with recording_executor(1, wait_for_start=helper == "late") as pool:
+                assert check(seed, trials, pool) == serial, (seed, trials)
+            if helper == "late":
+                assert pool.submits == (trials > 1) == len(pool.ran_on)
+
+
+# the serial path builds the sketch operator this often, as verify did
+# before its trial loops split; a split loop may build a few more, when
+# the other thread's configs evict its own from the two _operator keeps
+# (each build takes about 1 ms at the reference shape)
+VERIFY_OPERATOR_BUILDS = 1408
+
+
+@pytest.mark.parametrize("seed", [0, 54])
+def test_verify_all_prints_the_serial_bytes(capsys, monkeypatch, seed):
+    # at seed 54 bucket_uniformity_chi2 fails, so the exit code must match
+    # too; the serial path runs every loop and run's helper work on the
+    # calling thread
+    from sketchgrad import sketch
+
+    def verify(serial):
+        with monkeypatch.context() as m:
+            if serial:
+                m.setattr(concurrent.futures, "ThreadPoolExecutor",
+                          lambda workers: contextlib.nullcontext())
+            sketch._operator.cache_clear()
+            rc = main(["verify", "all", "--seed", str(seed)])
+            return rc, capsys.readouterr().out, sketch._operator.cache_info().misses
+
+    *split, split_builds = verify(False)
+    *serial, serial_builds = verify(True)
+    assert split == serial
+    assert serial[0] == (EXIT_OK if seed == 0 else EXIT_INVARIANT)
+    assert len(serial[1].splitlines()) == 25
+    assert serial_builds == VERIFY_OPERATOR_BUILDS
+    assert VERIFY_OPERATOR_BUILDS <= split_builds <= VERIFY_OPERATOR_BUILDS + 8
 
 
 @pytest.mark.parametrize(
